@@ -20,6 +20,9 @@ namespace {
 using namespace p3s;  // NOLINT
 
 pairing::PairingPtr pp() { return pairing::Pairing::test_pairing(); }
+// Paper-scale group (PBC a.param's Solinas r, 512-bit q) for the BM_Paper_*
+// cases: the sizes the paper's t_PBE and dec_A were measured at.
+pairing::PairingPtr paper() { return pairing::Pairing::paper_pairing(); }
 
 void BM_Sha256_1KB(benchmark::State& state) {
   TestRng rng(1);
@@ -98,9 +101,9 @@ void BM_Pairing_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_Pairing_Reference);
 
-void BM_PairProduct(benchmark::State& state) {
+void pair_product_bench(benchmark::State& state,
+                        const pairing::PairingPtr& p) {
   TestRng rng(4);
-  const auto p = pp();
   std::vector<pairing::PairTerm> terms;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     terms.push_back({p->random_g1(rng), p->random_g1(rng)});
@@ -112,7 +115,14 @@ void BM_PairProduct(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
+
+void BM_PairProduct(benchmark::State& state) { pair_product_bench(state, pp()); }
 BENCHMARK(BM_PairProduct)->Arg(2)->Arg(8)->Arg(21)->Arg(80);
+
+void BM_Paper_PairProduct(benchmark::State& state) {
+  pair_product_bench(state, paper());
+}
+BENCHMARK(BM_Paper_PairProduct)->Arg(8);
 
 void BM_GtPow(benchmark::State& state) {
   TestRng rng(4);
@@ -223,13 +233,15 @@ BENCHMARK(BM_Hve_Match)->Arg(8)->Arg(20)->Arg(40);
 // and shares it across all tokens (hve_match_any), optionally spreading the
 // per-token evaluations over the global pool (P3S_THREADS).
 struct HveMatchFixture {
-  pairing::PairingPtr p = pp();
+  pairing::PairingPtr p;
   pbe::HveKeys keys;
   Bytes ct;
   std::vector<pbe::HveToken> tokens;
   std::vector<const pbe::HveToken*> token_ptrs;
 
-  HveMatchFixture(std::size_t width, std::size_t n_tokens) {
+  HveMatchFixture(std::size_t width, std::size_t n_tokens,
+                  pairing::PairingPtr pairing = pp())
+      : p(std::move(pairing)) {
     TestRng rng(13);
     keys = pbe::hve_setup(p, width, rng);
     pbe::BitVector x(width);
@@ -281,6 +293,21 @@ void BM_Hve_MatchPrepare(benchmark::State& state) {
 }
 BENCHMARK(BM_Hve_MatchPrepare);
 
+// One subscriber's whole per-broadcast match with a single non-matching
+// token, as the subscriber runs it: prepare only the token's positions, then
+// evaluate. 39 bits is the paper's 13 attributes × 3 bits.
+void BM_Paper_Hve_MatchMiss(benchmark::State& state) {
+  const HveMatchFixture fx(39, 1, paper());
+  const std::vector<std::uint32_t>& positions = fx.tokens[0].positions;
+  for (auto _ : state) {
+    const pbe::HveMatchCt prepared =
+        pbe::hve_match_prepare(*fx.p, fx.ct, &positions);
+    benchmark::DoNotOptimize(
+        pbe::hve_match_any(*fx.p, fx.token_ptrs, prepared));
+  }
+}
+BENCHMARK(BM_Paper_Hve_MatchMiss);
+
 void BM_Hve_GenToken(benchmark::State& state) {
   TestRng rng(9);
   const std::size_t width = 40;
@@ -315,9 +342,10 @@ void BM_Cpabe_Encrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_Cpabe_Encrypt)->Arg(2)->Arg(5)->Arg(10);
 
-void BM_Cpabe_Decrypt(benchmark::State& state) {
+void cpabe_decrypt_bench(benchmark::State& state,
+                        const pairing::PairingPtr& p) {
   TestRng rng(11);
-  const auto keys = abe::cpabe_setup(pp(), rng);
+  const auto keys = abe::cpabe_setup(p, rng);
   const int v = static_cast<int>(state.range(0));
   const auto policy = and_policy(v);
   std::set<std::string> attrs;
@@ -328,7 +356,16 @@ void BM_Cpabe_Decrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(abe::cpabe_decrypt_bytes(keys.pk, sk, ct));
   }
 }
+
+void BM_Cpabe_Decrypt(benchmark::State& state) {
+  cpabe_decrypt_bench(state, pp());
+}
 BENCHMARK(BM_Cpabe_Decrypt)->Arg(2)->Arg(5)->Arg(10);
+
+void BM_Paper_Cpabe_Decrypt(benchmark::State& state) {
+  cpabe_decrypt_bench(state, paper());
+}
+BENCHMARK(BM_Paper_Cpabe_Decrypt)->Arg(10);
 
 void BM_Cpabe_Decrypt_Reference(benchmark::State& state) {
   TestRng rng(11);

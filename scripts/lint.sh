@@ -1,5 +1,5 @@
 #!/bin/sh
-# Build (cached) and run the p3s-lint static analyzer over src/.
+# Build and run the p3s-lint static analyzer over src/.
 #
 #   sh scripts/lint.sh [repo-root] [extra p3s-lint args...]
 #       lint the tree (exit 1 on findings); extra args are passed through,
@@ -8,10 +8,13 @@
 #       run the seeded-fixture selftest
 #
 # The tool is a single standalone C++20 binary (tools/p3s-lint/, no
-# dependencies), compiled on demand into build/lint/ and reused until ANY of
-# its sources change. ccache is used when available. The whole-tree run is
-# held to a wall-clock budget (P3S_LINT_BUDGET seconds, default 10) so the
-# analyzer stays pre-commit-fast; CI runs both modes as required steps.
+# dependencies). This script configures tools/p3s-lint on its own into
+# build/lint/, so it needs only cmake and a compiler; CMake rebuilds the
+# binary when a source changes (via ccache when available) and its output goes
+# to stderr, leaving stdout to the report. The whole-tree run is held to a
+# wall-clock budget (P3S_LINT_BUDGET seconds, default 10) so the analyzer stays
+# pre-commit-fast. CI runs both modes as required steps; ctest's `lint` and
+# `lint_selftest` run the main build's p3s-lint target with the same arguments.
 set -eu
 
 mode=lint
@@ -24,36 +27,19 @@ if [ $# -gt 0 ]; then shift; fi
 root="$(cd "$root" && pwd)"
 
 tool_src="$root/tools/p3s-lint"
-if [ ! -f "$tool_src/main.cpp" ]; then
+if [ ! -f "$tool_src/CMakeLists.txt" ]; then
   echo "lint.sh: cannot find tools/p3s-lint under '$root'" >&2
   exit 2
 fi
 
 bin_dir="$root/build/lint"
+launcher=""
+if command -v ccache >/dev/null 2>&1; then
+  launcher="-DCMAKE_CXX_COMPILER_LAUNCHER=ccache"
+fi
+cmake -S "$tool_src" -B "$bin_dir" $launcher >&2
+cmake --build "$bin_dir" >&2
 bin="$bin_dir/p3s-lint"
-mkdir -p "$bin_dir"
-
-# Rebuild when the binary is missing or ANY analyzer source is newer than it
-# (the tool is main.cpp + headers; a header-only edit must trigger too).
-needs_build=0
-if [ ! -x "$bin" ]; then
-  needs_build=1
-else
-  for f in "$tool_src"/*.cpp "$tool_src"/*.hpp; do
-    [ -e "$f" ] || continue
-    if [ "$f" -nt "$bin" ]; then
-      needs_build=1
-      break
-    fi
-  done
-fi
-if [ "$needs_build" = 1 ]; then
-  compiler="${CXX:-c++}"
-  if command -v ccache >/dev/null 2>&1; then
-    compiler="ccache $compiler"
-  fi
-  $compiler -std=c++20 -O2 -Wall -Wextra -o "$bin" "$tool_src/main.cpp"
-fi
 
 if [ "$mode" = "selftest" ]; then
   exec "$bin" --selftest "$tool_src/selftest"

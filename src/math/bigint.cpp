@@ -405,11 +405,13 @@ BigInt BigInt::from_hex(std::string_view s) {
 }
 
 BigInt BigInt::from_bytes(BytesView data) {
-  BigInt r;
-  for (std::uint8_t b : data) {
-    r = (r << 8) + BigInt{static_cast<std::uint64_t>(b)};
+  // Byte i from the end lands in limb i / 8 at bit offset 8·(i % 8).
+  Limbs limbs((data.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const u64 byte = data[data.size() - 1 - i];
+    limbs[i / 8] |= byte << (8 * (i % 8));
   }
-  return r;
+  return from_limbs_le(std::move(limbs));
 }
 
 std::string BigInt::to_dec() const {

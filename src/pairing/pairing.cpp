@@ -48,12 +48,30 @@ Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits) {
   if (q_bits < r_bits + 8) {
     throw std::invalid_argument("generate_params: q_bits must exceed r_bits by >= 8");
   }
+  return generate_params(rng, random_prime(rng, r_bits), q_bits);
+}
+
+Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits) {
+  const std::size_t r_bits = r.bit_length();
+  if (q_bits < r_bits + 8) {
+    throw std::invalid_argument("generate_params: q_bits must exceed r_bits by >= 8");
+  }
+  // Checked on a private stream so the caller's draws stay reproducible.
+  TestRng check_rng(0x0f5eedull);
+  if (!is_probable_prime(r, check_rng)) {
+    throw std::invalid_argument("generate_params: r is not prime");
+  }
   Params p;
-  p.r = random_prime(rng, r_bits);
+  p.r = r;
 
   // Find h = 4k with q = h·r − 1 prime of exactly q_bits bits.
-  // q ≡ 3 (mod 4) automatically since q = 4kr − 1.
-  const std::size_t k_bits = q_bits - r_bits - 2;
+  // q ≡ 3 (mod 4) automatically since q = 4kr − 1. Writing r = ρ·2^(r_bits−1)
+  // with 1 <= ρ < 2, a k of q_bits − r_bits − 2 bits lands q on q_bits bits
+  // with probability 2(ρ−1)/ρ and a k one bit wider with (2−ρ)/ρ; take the
+  // likelier width. A Solinas r just above a power of two (ρ ≈ 1) needs the
+  // wider one: the narrower reaches q_bits with probability ~2^−51.
+  const bool wide_k = BigInt{3} * r < (BigInt{1} << (r_bits + 1));  // ρ < 4/3
+  const std::size_t k_bits = q_bits - r_bits - (wide_k ? 1 : 2);
   for (;;) {
     BigInt k = BigInt::random_bits(rng, k_bits);
     BigInt h = k << 2;
@@ -120,12 +138,18 @@ namespace {
 std::once_flag g_test_once, g_paper_once;
 std::shared_ptr<const Pairing> g_test, g_paper;
 
-// The deterministic parameter sets baked in as constants. These are exactly
-// what generate_params() used to produce from the fixed seeds
-// (0x703570357035 for test, 0x504243204121 for paper); baking them skips the
-// Miller–Rabin prime SEARCH in every process while load_baked() still
-// VALIDATES primality and group structure, so a corrupted constant cannot
-// slip through.
+// The deterministic parameter sets baked in as constants. Both are exactly
+// what generate_params() produces; baking them skips the Miller–Rabin prime
+// SEARCH in every process while load_baked() still VALIDATES primality and
+// group structure, so a corrupted constant cannot slip through.
+//   test:  generate_params(TestRng(0x703570357035), 80, 160)
+//   paper: generate_params(TestRng(0x504243204121), r, 512) with PBC a.param's
+//          Solinas order r = 2^159 + 2^107 + 1. Its three set bits leave each
+//          Miller loop 159 doublings and 2 addition steps (a random 160-bit r
+//          costs ~80 additions). Only r is special: q = h·r − 1 comes from a
+//          seeded random k, so F_q² has no special form for the number field
+//          sieve to exploit.
+// tests/pairing_test.cpp re-derives both sets and compares them to these.
 struct BakedParams {
   const char* q;
   const char* r;
@@ -143,15 +167,15 @@ constexpr BakedParams kTestBaked{
 };
 
 constexpr BakedParams kPaperBaked{
-    "a441dc845fe1b04433217b626a6ae249e277477244a4f8eb1aac259b7461fdca"
-    "01aee47bc0476aa25b1fc4bfad77f50f6f3514cedff74b2ec5d26f88e1365727",
-    "b2ee4b7d8783337ee16a28cd87ffae5845fc8151",
-    "eb019811af0bd7d01600ec3d58d2cfe34a797218ce8f9182c84aa46802b122eb"
-    "811f9c41b8542d97429b5aa8",
-    "9498327f950568bbc68e6db1415f8397df552aad6f3a77d26b4fc30e915a6597"
-    "6297784871070ca27e154cdc999dd308299db8a50f2b39a016446aa4bd3db26f",
-    "3dae87b59e739113a7656147bc4c319627e75a9ec404292d7ee98e255e59ead3"
-    "c9e0c49eeb7eb93f909f958b6d7c23a90a8679d5475873680eb083901ab60cda",
+    "fdd51e4dccde846ed2f8d0ff5423c83fc81857dd553e757cdc3e10fe52223d5b"
+    "179cbcc4163db4957d9d9bb8fecf23b36de80c227230716f66643dd139deffbb",
+    "8000000000000800000000000000000000000001",
+    "1fbaa3c9b99bce9230227e862d9b5605d11aa821b5d22a0a7dce099e475ea2c2"
+    "27230716f66643dd139deffbc",
+    "93297278868573bbc85a672c2e33b637c513dfac43c0a498d3cd7789239029a2"
+    "cda62c4050a92fd2b2f40d8dfd8c972debeed234510a1b21ed17e1f343f8453c",
+    "17c1874c4d04b0c3a4956f0aed3d1a77f858a41d4a4922d8d38187f0d12a8dc2"
+    "4768839e6d75295b90cd9e059b4278e963d632f8b5acf3d89e447c1f668741f",
 };
 
 Params load_baked(const BakedParams& b) {

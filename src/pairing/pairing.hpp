@@ -35,6 +35,11 @@ struct Params {
 /// Generate fresh parameters: r with `r_bits` bits, q with `q_bits` bits.
 /// q_bits must exceed r_bits by at least 8.
 Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits);
+/// Same search over a caller-chosen prime group order r (e.g. a Solinas
+/// prime, whose sparse bits make every Miller loop nearly addition-free):
+/// h = 4k with k drawn from `rng`, q = h·r − 1 of exactly `q_bits` bits.
+/// Throws std::invalid_argument if r is not prime or too wide for q_bits.
+Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits);
 
 /// One (P, Q) input to a multi-pairing product.
 struct PairTerm {
@@ -111,9 +116,9 @@ class Pairing {
   /// Small deterministic parameters (80-bit r, 160-bit q) for fast tests.
   /// Baked-in serialized constants, validated on load. Cached singleton.
   static std::shared_ptr<const Pairing> test_pairing();
-  /// PBC a.param-sized parameters (160-bit r, 512-bit q) matching the
-  /// security level the paper benchmarked. Baked-in constants, validated on
-  /// load. Cached singleton.
+  /// PBC a.param-sized parameters matching the security level the paper
+  /// benchmarked: a.param's Solinas r = 2^159 + 2^107 + 1 and a 512-bit q.
+  /// Baked-in constants, validated on load. Cached singleton.
   static std::shared_ptr<const Pairing> paper_pairing();
 
   const Params& params() const { return params_; }

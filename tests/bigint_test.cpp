@@ -223,6 +223,31 @@ TEST(BigInt, BytesRoundTrip) {
   EXPECT_THROW(BigInt{-1}.to_bytes(), std::domain_error);
 }
 
+TEST(BigInt, FromBytesMatchesShiftAddOracle) {
+  // The limb-packing decoder against the plain one-byte-at-a-time definition.
+  const auto oracle = [](const Bytes& data) {
+    BigInt r;
+    for (std::uint8_t b : data) r = (r << 8) + BigInt{std::uint64_t{b}};
+    return r;
+  };
+  EXPECT_TRUE(BigInt::from_bytes(Bytes{}).is_zero());
+  EXPECT_TRUE(BigInt::from_bytes(Bytes(9, 0)).is_zero());
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0, 0, 0, 1}), BigInt{1});
+  TestRng rng(41);
+  for (std::size_t len : {1, 7, 8, 9, 63, 64, 65}) {
+    const Bytes random = rng.bytes(len);
+    EXPECT_EQ(BigInt::from_bytes(random), oracle(random)) << len;
+    Bytes leading_zeros(3, 0);
+    leading_zeros.insert(leading_zeros.end(), random.begin(), random.end());
+    EXPECT_EQ(BigInt::from_bytes(leading_zeros), oracle(random)) << len;
+    const Bytes ones(len, 0xff);
+    EXPECT_EQ(BigInt::from_bytes(ones), (BigInt{1} << (8 * len)) - BigInt{1})
+        << len;
+    const BigInt v = BigInt::from_bytes(random);
+    EXPECT_EQ(v.to_bytes(len), random) << len;
+  }
+}
+
 TEST(BigInt, ToU64) {
   EXPECT_EQ(BigInt{std::uint64_t{0xffffffffffffffffull}}.to_u64(),
             0xffffffffffffffffull);

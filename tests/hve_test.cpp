@@ -275,6 +275,27 @@ TEST_F(HveTest, PreparedQueryBitIdenticalToPlainQuery) {
   }
 }
 
+TEST(HvePaper, PreparedQueryBitIdenticalToPlainQuery) {
+  // Same pin on the paper-scale group, whose Solinas r drives the Miller
+  // schedule both paths share.
+  TestRng rng(0x9a9e5);
+  const HveKeys keys = hve_setup(pairing::Pairing::paper_pairing(), 4, rng);
+  const auto& p = *keys.pk.pairing;
+  const BitVector x = {1, 0, 1, 1};
+  const Bytes blob = hve_encrypt_bytes(keys.pk, x, str_to_bytes("g"), rng);
+  const HveCiphertext kem = HveCiphertext::deserialize(p, Reader(blob).bytes());
+  const HveMatchCt prepared = hve_match_prepare(p, blob);
+  const Pattern hit = {1, kWildcard, 1, kWildcard};
+  const Pattern miss = {0, kWildcard, 1, kWildcard};
+  const auto tok_hit = hve_gen_token(keys, hit, rng);
+  const auto tok_miss = hve_gen_token(keys, miss, rng);
+  EXPECT_EQ(hve_query(p, tok_hit, prepared), hve_query(p, tok_hit, kem));
+  EXPECT_EQ(hve_query(p, tok_miss, prepared), hve_query(p, tok_miss, kem));
+  EXPECT_EQ(hve_query(p, tok_hit, kem), hve_query_reference(p, tok_hit, kem));
+  EXPECT_TRUE(hve_query_bytes(p, tok_hit, blob).has_value());
+  EXPECT_FALSE(hve_query_bytes(p, tok_miss, blob).has_value());
+}
+
 TEST_F(HveTest, PreparePositionFilterRestrictsAndRejects) {
   const auto& p = *keys_->pk.pairing;
   const BitVector x = {1, 0, 1, 1, 0, 0, 1, 0};

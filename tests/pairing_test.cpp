@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.hpp"
 #include "math/modular.hpp"
 #include "pairing/curve.hpp"
@@ -425,6 +427,77 @@ TEST(PairingBaked, BakedParamsSatisfyCurveInvariants) {
     EXPECT_TRUE(pp->mul(pp->generator(), r).infinity);
     EXPECT_FALSE(fq2_is_one(pp->gt_generator()));
   }
+}
+
+TEST(PairingBaked, BakedParamsRederiveFromDocumentedSeeds) {
+  // The baked constants are exactly generate_params' output for the seeds
+  // documented beside them, so an edited constant fails here even if it
+  // still forms a valid group.
+  TestRng test_rng(0x703570357035ull);
+  const Params test = generate_params(test_rng, 80, 160);
+  TestRng paper_rng(0x504243204121ull);
+  const BigInt solinas_r =
+      (BigInt{1} << 159) + (BigInt{1} << 107) + BigInt{1};  // PBC a.param r
+  const Params paper = generate_params(paper_rng, solinas_r, 512);
+  for (const auto& [fresh, pp] :
+       {std::pair{test, Pairing::test_pairing()},
+        std::pair{paper, Pairing::paper_pairing()}}) {
+    EXPECT_EQ(fresh.q, pp->params().q);
+    EXPECT_EQ(fresh.r, pp->params().r);
+    EXPECT_EQ(fresh.h, pp->params().h);
+    EXPECT_EQ(fresh.g, pp->params().g);
+  }
+  EXPECT_EQ(paper.q.bit_length(), 512u);
+  EXPECT_EQ(paper.r.to_dec(), "730750818665451621361119245571504901405976559617");
+}
+
+TEST(PairingGen, FixedOrderOverloadRejectsCompositeOrWideR) {
+  TestRng rng(7);
+  const BigInt composite = BigInt{1000003} * BigInt{1000033};
+  EXPECT_THROW(generate_params(rng, composite, 96), std::invalid_argument);
+  EXPECT_THROW(generate_params(rng, Pairing::paper_pairing()->r(), 164),
+               std::invalid_argument);
+}
+
+// Slots in a MillerPrecomp: one per doubling (every bit below the top) plus
+// one per addition (every set bit below the top).
+std::size_t miller_slots(const BigInt& r) {
+  std::size_t slots = r.bit_length() - 1;
+  for (std::size_t i = 0; i + 1 < r.bit_length(); ++i) slots += r.bit(i);
+  return slots;
+}
+
+TEST(PairingPaper, MillerScheduleHasTwoAdditionSlots) {
+  // r = 2^159 + 2^107 + 1: 159 doublings and 2 additions, against ~80
+  // additions for a random 160-bit order.
+  const PairingPtr paper = Pairing::paper_pairing();
+  ASSERT_EQ(miller_slots(paper->r()), 161u);
+  // The slot size is fixed per build; read it off the test group.
+  const PairingPtr test = Pairing::test_pairing();
+  const std::size_t test_bytes =
+      test->miller_precompute(test->generator()).memory_bytes();
+  ASSERT_EQ(test_bytes % miller_slots(test->r()), 0u);
+  const std::size_t slot_bytes = test_bytes / miller_slots(test->r());
+  EXPECT_EQ(paper->miller_precompute(paper->generator()).memory_bytes(),
+            161 * slot_bytes);
+}
+
+TEST(PairingPaper, PairProductMatchesProductOfReferencePairs) {
+  const PairingPtr pp = Pairing::paper_pairing();
+  TestRng rng(0x9a9e4);
+  std::vector<PairTerm> terms;
+  Fq2 expect = pp->gt_one();
+  for (int i = 0; i < 3; ++i) {
+    const Point a = pp->random_g1(rng);
+    const Point b = pp->random_g1(rng);
+    terms.push_back({a, b});
+    expect = pp->gt_mul(expect, pp->pair_reference(a, b));
+  }
+  EXPECT_EQ(pp->pair_product(terms), expect);
+  const MillerPrecomp pre = pp->miller_precompute(terms[0].p);
+  const std::vector<PrecompPairTerm> pre_terms{{&pre, terms[0].q}};
+  EXPECT_EQ(pp->pair_product_precomp(pre_terms),
+            pp->pair_reference(terms[0].p, terms[0].q));
 }
 
 }  // namespace
