@@ -169,43 +169,6 @@ void share_tree(const pairing::Pairing& p, const PolicyNode& node,
   }
 }
 
-// DFS decrypt. `leaf_index` walks the ciphertext leaf array in the same
-// order encryption emitted it. Returns e(g,g)^{r·q_node(0)} when this node
-// is satisfied.
-std::optional<Fq2> decrypt_node(const pairing::Pairing& p,
-                                const CpabeSecretKey& sk,
-                                const CpabeCiphertext& ct,
-                                const PolicyNode& node,
-                                std::size_t& leaf_index) {
-  if (node.is_leaf()) {
-    const CpabeCiphertext::Leaf& leaf = ct.leaves.at(leaf_index++);
-    const auto it = sk.components.find(leaf.attribute);
-    if (it == sk.components.end()) return std::nullopt;
-    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{r·q_y(0)}
-    const Fq2 num = p.pair(it->second.d, leaf.cy);
-    const Fq2 den = p.pair(it->second.d_prime, leaf.cy_prime);
-    return p.gt_mul(num, p.gt_inv(den));
-  }
-
-  // Gather satisfied children (child index is 1-based for Lagrange).
-  std::vector<std::uint64_t> indices;
-  std::vector<Fq2> values;
-  for (std::size_t i = 0; i < node.children().size(); ++i) {
-    const auto sub = decrypt_node(p, sk, ct, node.children()[i], leaf_index);
-    if (sub.has_value() && indices.size() < node.k()) {
-      indices.push_back(i + 1);
-      values.push_back(*sub);
-    }
-  }
-  if (indices.size() < node.k()) return std::nullopt;
-  Fq2 acc = p.gt_one();
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    const BigInt coeff = lagrange_at_zero(indices, indices[j], p.r());
-    acc = p.gt_mul(acc, p.gt_pow(values[j], coeff));
-  }
-  return acc;
-}
-
 // One (leaf, exponent) term of the flattened decryption: ciphertext leaf
 // `index` contributes e(D_j,C_y)^coeff · e(D'_j,C'_y)^{-coeff}, where coeff
 // is the product of the Lagrange coefficients on the path to the root.
@@ -214,10 +177,11 @@ struct LeafTerm {
   BigInt coeff;
 };
 
-// Flattened twin of decrypt_node: instead of evaluating pairings per leaf
-// and combining in GT, collect which leaves the recursive evaluation would
-// use and with what accumulated Lagrange exponent. Child selection (first k
-// satisfied, in order) matches decrypt_node exactly, so
+// Flattened form of BSW's recursive DecryptNode (kept as the test oracle in
+// tests/oracle): instead of evaluating pairings per leaf and combining in
+// GT, collect which leaves the recursion would use and with what accumulated
+// Lagrange exponent. Child selection (first k satisfied, in order) matches
+// DecryptNode exactly, so
 // ∏ e(D_j,C_y)^{c_j}·e(D'_j,C'_y)^{-c_j} over the result equals its output.
 std::optional<std::vector<LeafTerm>> select_node(const pairing::Pairing& p,
                                                  const CpabeSecretKey& sk,
@@ -302,21 +266,6 @@ std::optional<Fq2> cpabe_decrypt(const CpabePublicKey& pk,
   terms.push_back({p.neg(ct.c), sk.d});
   // M = C̃ · A / e(C, D);  e(C,D) = e(g,g)^{s(α+r)}, A = e(g,g)^{rs}.
   return p.gt_mul(ct.c_tilde, p.pair_product(terms));
-}
-
-std::optional<Fq2> cpabe_decrypt_reference(const CpabePublicKey& pk,
-                                           const CpabeSecretKey& sk,
-                                           const CpabeCiphertext& ct) {
-  const pairing::Pairing& p = *pk.pairing;
-  if (ct.leaves.size() != ct.policy.leaf_count()) return std::nullopt;
-  if (!ct.policy.satisfied_by(sk.attributes())) return std::nullopt;
-
-  std::size_t leaf_index = 0;
-  const auto a = decrypt_node(p, sk, ct, ct.policy, leaf_index);
-  if (!a.has_value()) return std::nullopt;
-  // M = C̃ · A / e(C, D);  e(C,D) = e(g,g)^{s(α+r)}, A = e(g,g)^{rs}.
-  const Fq2 e_cd = p.pair(ct.c, sk.d);
-  return p.gt_mul(ct.c_tilde, p.gt_mul(*a, p.gt_inv(e_cd)));
 }
 
 // --- Hybrid layer -----------------------------------------------------------------

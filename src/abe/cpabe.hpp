@@ -103,12 +103,6 @@ std::optional<Fq2> cpabe_decrypt(const CpabePublicKey& pk,
                                  const CpabeSecretKey& sk,
                                  const CpabeCiphertext& ct);
 
-/// The original recursive per-leaf-pairing decryption (BSW §4.2 verbatim).
-/// Correctness pin for cpabe_decrypt equivalence tests; not the hot path.
-std::optional<Fq2> cpabe_decrypt_reference(const CpabePublicKey& pk,
-                                           const CpabeSecretKey& sk,
-                                           const CpabeCiphertext& ct);
-
 // --- Hybrid layer (KEM-DEM): what P3S actually sends --------------------------
 
 /// Encrypt an arbitrary byte payload: CP-ABE wraps a random GT element,

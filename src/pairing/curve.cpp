@@ -51,82 +51,6 @@ Point point_add(const Point& p1, const Point& p2, const BigInt& q) {
   return {x3, y3, false};
 }
 
-namespace {
-// Jacobian coordinates (X, Y, Z): x = X/Z^2, y = Y/Z^3. Avoids the modular
-// inversion per step that affine arithmetic needs, which makes scalar
-// multiplication ~20x faster at pairing sizes.
-struct Jac {
-  BigInt x, y, z;  // z == 0 means infinity
-};
-
-Point jac_to_affine(const Jac& j, const BigInt& q) {
-  if (j.z.is_zero()) return Point::at_infinity();
-  const BigInt zinv = mod_inv(j.z, q);
-  const BigInt zinv2 = mod_mul(zinv, zinv, q);
-  return {mod_mul(j.x, zinv2, q), mod_mul(j.y, mod_mul(zinv2, zinv, q), q),
-          false};
-}
-
-Jac jac_double(const Jac& p, const BigInt& q) {
-  if (p.z.is_zero() || p.y.is_zero()) return {BigInt{1}, BigInt{1}, BigInt{}};
-  // General doubling for y^2 = x^3 + a x with a = 1:
-  //   M = 3X^2 + a Z^4, S = 4XY^2,
-  //   X' = M^2 - 2S, Y' = M(S - X') - 8Y^4, Z' = 2YZ.
-  const BigInt y2 = mod_mul(p.y, p.y, q);
-  const BigInt z2 = mod_mul(p.z, p.z, q);
-  const BigInt x2 = mod_mul(p.x, p.x, q);
-  const BigInt z4 = mod_mul(z2, z2, q);
-  const BigInt m = mod_add(mod_add(mod_add(x2, x2, q), x2, q), z4, q);
-  BigInt s = mod_mul(p.x, y2, q);
-  s = mod_add(s, s, q);
-  s = mod_add(s, s, q);
-  const BigInt xp = mod_sub(mod_mul(m, m, q), mod_add(s, s, q), q);
-  BigInt y4 = mod_mul(y2, y2, q);  // Y^4
-  // 8 Y^4
-  y4 = mod_add(y4, y4, q);
-  y4 = mod_add(y4, y4, q);
-  y4 = mod_add(y4, y4, q);
-  const BigInt yp = mod_sub(mod_mul(m, mod_sub(s, xp, q), q), y4, q);
-  BigInt zp = mod_mul(p.y, p.z, q);
-  zp = mod_add(zp, zp, q);
-  return {xp, yp, zp};
-}
-
-// Mixed addition: p (Jacobian) + a (affine, not infinity).
-Jac jac_add_affine(const Jac& p, const Point& a, const BigInt& q) {
-  if (p.z.is_zero()) return {a.x, a.y, BigInt{1}};
-  const BigInt z2 = mod_mul(p.z, p.z, q);
-  const BigInt u2 = mod_mul(a.x, z2, q);
-  const BigInt s2 = mod_mul(a.y, mod_mul(z2, p.z, q), q);
-  const BigInt h = mod_sub(u2, p.x, q);
-  const BigInt rr = mod_sub(s2, p.y, q);
-  if (h.is_zero()) {
-    if (rr.is_zero()) return jac_double(p, q);
-    return {BigInt{1}, BigInt{1}, BigInt{}};  // infinity
-  }
-  const BigInt h2 = mod_mul(h, h, q);
-  const BigInt h3 = mod_mul(h2, h, q);
-  const BigInt uh2 = mod_mul(p.x, h2, q);
-  const BigInt xp =
-      mod_sub(mod_sub(mod_mul(rr, rr, q), h3, q), mod_add(uh2, uh2, q), q);
-  const BigInt yp = mod_sub(mod_mul(rr, mod_sub(uh2, xp, q), q),
-                            mod_mul(p.y, h3, q), q);
-  const BigInt zp = mod_mul(p.z, h, q);
-  return {xp, yp, zp};
-}
-}  // namespace
-
-Point point_mul(const Point& p, const BigInt& k, const BigInt& q) {
-  if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
-  if (p.infinity || k.is_zero()) return Point::at_infinity();
-  Jac acc{BigInt{1}, BigInt{1}, BigInt{}};  // infinity
-  for (std::size_t i = k.bit_length(); i-- > 0;) {
-    acc = jac_double(acc, q);
-    if (k.bit(i)) acc = jac_add_affine(acc, p, q);
-  }
-  return jac_to_affine(acc, q);
-}
-
 std::vector<std::int8_t> wnaf4(const BigInt& k) {
   if (k.is_negative()) throw std::invalid_argument("wnaf4: negative scalar");
   std::vector<std::uint64_t> v = k.limbs();
@@ -176,8 +100,9 @@ namespace {
 using fqm::Fe;
 using math::Montgomery;
 
-// Jacobian point with Montgomery-form fixed-width coordinates; z == 0 is
-// the identity. All functions here assume mq.fits_fixed().
+// Jacobian coordinates (X, Y, Z): x = X/Z², y = Y/Z³, no inversion per
+// group operation. Coordinates are Montgomery-form fixed-width limbs; z == 0
+// is the identity. All functions here assume mq.fits_fixed().
 struct JacM {
   Fe x, y, z;
 };
@@ -193,7 +118,8 @@ bool jacm_is_inf(const Montgomery& m, const JacM& p) {
 
 JacM jacm_infinity() { return JacM{}; }
 
-// Same doubling formula as jac_double above (a = 1), on Fe limbs.
+// General doubling for y² = x³ + a·x with a = 1:
+//   M = 3X² + a·Z⁴, S = 4XY², X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ.
 JacM jacm_double(const Montgomery& m, const JacM& p) {
   if (jacm_is_inf(m, p) || fqm::fe_is_zero(p.y, m.limb_count())) {
     return jacm_infinity();
@@ -311,8 +237,10 @@ std::vector<AffM> jacm_batch_normalize(const Montgomery& m,
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq) {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
+  if (!mq.fits_fixed()) {
+    throw std::invalid_argument("point_mul_mont: modulus wider than 512 bits");
+  }
   if (p.infinity || k.is_zero()) return Point::at_infinity();
-  if (!mq.fits_fixed()) return point_mul(p, k, mq.modulus());
 
   // Odd-multiple table {1, 3, ..., 15}·P: chain mixed additions of an
   // affine 2P, then normalize the chain with one shared inversion.
@@ -349,7 +277,10 @@ Point point_mul_mont(const Point& p, const BigInt& k,
 FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
                                std::size_t scalar_bits)
     : mq_(mq), base_(base), scalar_bits_(scalar_bits) {
-  if (!mq.fits_fixed() || base.infinity || scalar_bits == 0) return;
+  if (!mq.fits_fixed()) {
+    throw std::invalid_argument("FixedBaseTable: modulus wider than 512 bits");
+  }
+  if (base.infinity || scalar_bits == 0) return;
   windows_ = (scalar_bits + kWindow - 1) / kWindow;
   constexpr std::size_t kPerWindow = (1u << kWindow) - 1;  // 15
 

@@ -31,14 +31,10 @@ bool on_curve(const Point& p, const BigInt& q);
 Point point_neg(const Point& p, const BigInt& q);
 Point point_add(const Point& p1, const Point& p2, const BigInt& q);
 Point point_double(const Point& p, const BigInt& q);
-/// k·p with k >= 0. Reference double-and-add (division-based reduction);
-/// kept as the correctness pin for the Montgomery/wNAF fast path below.
-Point point_mul(const Point& p, const BigInt& k, const BigInt& q);
 
-/// k·p with k >= 0 on the Montgomery-domain fast path: 4-bit wNAF over
-/// Jacobian coordinates with CIOS field multiplication (zero heap traffic
-/// per group operation). Falls back to the reference path when the modulus
-/// exceeds math::Montgomery::kMaxFixedLimbs.
+/// k·p with k >= 0: 4-bit wNAF over Jacobian coordinates with CIOS field
+/// multiplication (zero heap traffic per group operation). Throws
+/// std::invalid_argument for a negative k or unless mq.fits_fixed().
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq);
 
@@ -64,14 +60,15 @@ class FixedBaseTable {
   static constexpr unsigned kWindow = 4;
 
   /// Build the table for scalars of at most `scalar_bits` bits. Larger
-  /// scalars (and oversized moduli) fall back to point_mul internally.
+  /// scalars (and bases of tiny order) fall back to point_mul_mont
+  /// internally. Throws std::invalid_argument unless mq.fits_fixed().
   FixedBaseTable(const math::Montgomery& mq, const Point& base,
                  std::size_t scalar_bits);
 
   const Point& base() const { return base_; }
   /// k·base for k >= 0.
   Point mul(const BigInt& k) const;
-  /// Table footprint in bytes (0 when the fallback path is active).
+  /// Table footprint in bytes (0 when no table was built).
   std::size_t memory_bytes() const {
     return (xs_.size() + ys_.size()) * sizeof(fqm::Fe);
   }
@@ -81,7 +78,7 @@ class FixedBaseTable {
   Point base_;
   std::size_t scalar_bits_ = 0;
   std::size_t windows_ = 0;
-  // Entry j·(2^w − 1) + (d − 1) holds d·2^{jw}·B; empty when falling back.
+  // Entry j·(2^w − 1) + (d − 1) holds d·2^{jw}·B; empty when no table.
   std::vector<fqm::Fe> xs_, ys_;
 };
 

@@ -33,12 +33,9 @@ Fq2 fq2_sqr(const Fq2& x, const BigInt& q);
 Fq2 fq2_conj(const Fq2& x, const BigInt& q);
 /// Multiplicative inverse; throws std::domain_error on zero.
 Fq2 fq2_inv(const Fq2& x, const BigInt& q);
-/// x^e with e >= 0. Routes through the Montgomery/CIOS window
-/// exponentiation for odd q at pairing sizes; plain square-and-multiply
-/// otherwise.
-Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q);
-/// x^e with e >= 0 on a prebuilt Montgomery context for q (no per-call
-/// context setup; allocation-free when mq.fits_fixed()).
+/// x^e with e >= 0 on a prebuilt Montgomery context for q: 4-bit window
+/// exponentiation on fixed-limb CIOS arithmetic, allocation-free. Throws
+/// std::invalid_argument for a negative e or unless mq.fits_fixed().
 Fq2 fq2_pow(const Fq2& x, const BigInt& e, const math::Montgomery& mq);
 
 }  // namespace p3s::pairing

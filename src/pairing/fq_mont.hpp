@@ -3,9 +3,10 @@
 // math::Montgomery::kMaxFixedLimbs 64-bit limbs (only the context's
 // limb_count() low limbs are significant), so the Miller loop, wNAF scalar
 // multiplication, and GT exponentiation perform zero heap allocations;
-// BigInt appears only at the boundaries. Callers must check
-// Montgomery::fits_fixed() and fall back to the BigInt reference paths for
-// oversized moduli.
+// BigInt appears only at the boundaries. Only valid when
+// Montgomery::fits_fixed() (q ≤ 512 bits): the Pairing constructor and the
+// public entry points that take a raw Montgomery context reject wider
+// moduli, so there is no other path.
 #pragma once
 
 #include <array>

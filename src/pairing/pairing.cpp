@@ -14,7 +14,6 @@ namespace p3s::pairing {
 using math::is_probable_prime;
 using math::mod;
 using math::mod_add;
-using math::mod_inv;
 using math::mod_mul;
 using math::mod_sqrt_3mod4;
 using math::mod_sub;
@@ -44,18 +43,28 @@ Params Params::deserialize(BytesView data) {
   return p;
 }
 
-Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits) {
+namespace {
+// Widest q the fixed-limb field arithmetic (and so the Pairing) accepts.
+constexpr std::size_t kMaxQBits = math::Montgomery::kMaxFixedLimbs * 64;
+
+void check_widths(std::size_t r_bits, std::size_t q_bits) {
   if (q_bits < r_bits + 8) {
     throw std::invalid_argument("generate_params: q_bits must exceed r_bits by >= 8");
   }
+  if (q_bits > kMaxQBits) {
+    throw std::invalid_argument("generate_params: q_bits exceeds 512");
+  }
+}
+}  // namespace
+
+Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits) {
+  check_widths(r_bits, q_bits);
   return generate_params(rng, random_prime(rng, r_bits), q_bits);
 }
 
 Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits) {
   const std::size_t r_bits = r.bit_length();
-  if (q_bits < r_bits + 8) {
-    throw std::invalid_argument("generate_params: q_bits must exceed r_bits by >= 8");
-  }
+  check_widths(r_bits, q_bits);
   // Checked on a private stream so the caller's draws stay reproducible.
   TestRng check_rng(0x0f5eedull);
   if (!is_probable_prime(r, check_rng)) {
@@ -84,6 +93,7 @@ Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits) {
   }
 
   // Generator: random curve point pushed into the order-r subgroup.
+  const math::Montgomery mq(p.q);
   for (;;) {
     const BigInt x = BigInt::random_below(rng, p.q);
     const BigInt t =
@@ -91,7 +101,7 @@ Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits) {
     if (!math::is_quadratic_residue(t, p.q)) continue;
     const BigInt y = mod_sqrt_3mod4(t, p.q);
     const Point cand{x, y, false};
-    const Point g = point_mul(cand, p.h, p.q);
+    const Point g = point_mul_mont(cand, p.h, mq);
     if (g.infinity) continue;
     p.g = g;
     return p;
@@ -100,6 +110,9 @@ Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits) {
 
 Pairing::Pairing(Params params)
     : params_(std::move(params)), montq_(params_.q) {
+  if (!montq_.fits_fixed()) {
+    throw std::invalid_argument("Pairing: q wider than 512 bits");
+  }
   if (!on_curve(params_.g, params_.q) || params_.g.infinity) {
     throw std::invalid_argument("Pairing: invalid generator");
   }
@@ -109,7 +122,6 @@ Pairing::Pairing(Params params)
   if ((params_.q % BigInt{4}) != BigInt{3}) {
     throw std::invalid_argument("Pairing: q % 4 != 3");
   }
-  final_exp_ = (params_.q * params_.q - BigInt{1}) / params_.r;
   q_bytes_ = (params_.q.bit_length() + 7) / 8;
 
   // Same spellings as src/obs/catalog.hpp (metric-vocab lint enforces it);
@@ -192,7 +204,7 @@ Params load_baked(const BakedParams& b) {
   if (!is_probable_prime(p.q, rng, 8) || !is_probable_prime(p.r, rng, 8)) {
     throw std::logic_error("baked pairing params: composite q or r");
   }
-  if (!point_mul(p.g, p.r, p.q).infinity) {
+  if (!point_mul_mont(p.g, p.r, math::Montgomery(p.q)).infinity) {
     throw std::logic_error("baked pairing params: generator order != r");
   }
   return p;
@@ -295,171 +307,158 @@ Point Pairing::deserialize_g1(BytesView data) const {
 }
 
 namespace {
-// Jacobian point used inside the Miller loop (z == 0 means infinity).
-// Keeping V projective removes every per-step modular inversion: line
-// values are scaled by the λ-denominator, which lies in F_q* and is killed
-// by the final exponentiation ((q−1) divides (q²−1)/r), the same
-// denominator-elimination argument that lets us drop vertical lines.
-struct MillerPoint {
-  BigInt x, y, z;
-  bool infinity() const { return z.is_zero(); }
-};
-
-// F_q² arithmetic with coordinates kept in Montgomery form. Addition and
-// subtraction are domain-preserving, so only products change.
-Fq2 fq2_mul_m(const Fq2& x, const Fq2& y, const math::Montgomery& mq,
-              const BigInt& q) {
-  const BigInt t0 = mq.mul(x.a, y.a);
-  const BigInt t1 = mq.mul(x.b, y.b);
-  const BigInt t2 = mq.mul(mod_add(x.a, x.b, q), mod_add(y.a, y.b, q));
-  return {mod_sub(t0, t1, q), mod_sub(mod_sub(t2, t0, q), t1, q)};
-}
-
-Fq2 fq2_sqr_m(const Fq2& x, const math::Montgomery& mq, const BigInt& q) {
-  const BigInt t0 = mq.mul(mod_add(x.a, x.b, q), mod_sub(x.a, x.b, q));
-  const BigInt t1 = mq.mul(x.a, x.b);
-  return {t0, mod_add(t1, t1, q)};
-}
-
-Fq2 fq2_pow_m(const Fq2& x, const BigInt& e, const Fq2& one_m,
-              const math::Montgomery& mq, const BigInt& q) {
-  Fq2 acc = one_m;
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    acc = fq2_sqr_m(acc, mq, q);
-    if (e.bit(i)) acc = fq2_mul_m(acc, x, mq, q);
-  }
-  return acc;
-}
-}  // namespace
-
-Fq2 Pairing::pair_reference(const Point& p, const Point& qpt) const {
-  if (p.infinity || qpt.infinity) return fq2_one();
-  const BigInt& q = params_.q;
-  const BigInt& r = params_.r;
-  const math::Montgomery& mq = montq_;
-
-  // Montgomery-domain inputs; every product below is a CIOS multiply.
-  const BigInt one_m = mq.to_mont(BigInt{1});
-  const BigInt px = mq.to_mont(p.x);
-  const BigInt py = mq.to_mont(p.y);
-  const BigInt qx = mq.to_mont(qpt.x);
-  const BigInt qy = mq.to_mont(qpt.y);
-  const Fq2 fq2_one_m{one_m, BigInt{}};
-
-  // Miller loop computing f_{r,P}(φ(Q)) with φ(x,y) = (−x, i·y).
-  Fq2 f = fq2_one_m;
-  MillerPoint v{px, py, one_m};
-
-  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-    if (!v.infinity()) {
-      // --- tangent line at V, scaled by 2YZ³ ---------------------------
-      //   real = M·Z²·xQ + M·X − 2Y²,  imag = 2YZ³·yQ
-      // with M = 3X² + Z⁴ (curve coefficient a = 1).
-      const BigInt x2 = mq.mul(v.x, v.x);
-      const BigInt z2 = mq.mul(v.z, v.z);
-      const BigInt z4 = mq.mul(z2, z2);
-      const BigInt m = mod_add(mod_add(mod_add(x2, x2, q), x2, q), z4, q);
-      const BigInt y2 = mq.mul(v.y, v.y);
-      const BigInt two_y2 = mod_add(y2, y2, q);
-      const BigInt yz = mq.mul(v.y, v.z);
-      const BigInt two_yz3 = mq.mul(mod_add(yz, yz, q), z2);  // 2YZ³
-      Fq2 line;
-      line.a = mod_sub(
-          mod_add(mq.mul(mq.mul(m, z2), qx), mq.mul(m, v.x), q), two_y2, q);
-      line.b = mq.mul(two_yz3, qy);
-      f = fq2_mul_m(fq2_sqr_m(f, mq, q), line, mq, q);
-
-      // --- double V (Jacobian, a = 1) -----------------------------------
-      BigInt s = mq.mul(v.x, y2);
-      s = mod_add(s, s, q);
-      s = mod_add(s, s, q);  // 4XY²
-      const BigInt xp = mod_sub(mq.mul(m, m), mod_add(s, s, q), q);
-      BigInt y4 = mq.mul(y2, y2);
-      y4 = mod_add(y4, y4, q);
-      y4 = mod_add(y4, y4, q);
-      y4 = mod_add(y4, y4, q);  // 8Y⁴
-      const BigInt yp = mod_sub(mq.mul(m, mod_sub(s, xp, q)), y4, q);
-      v = MillerPoint{xp, yp, mod_add(yz, yz, q)};
-    } else {
-      f = fq2_sqr_m(f, mq, q);
-    }
-
-    if (r.bit(i)) {
-      if (v.infinity()) {
-        v = MillerPoint{px, py, one_m};
-        continue;
-      }
-      // --- addition V + P (P affine) ------------------------------------
-      const BigInt z2 = mq.mul(v.z, v.z);
-      const BigInt u2 = mq.mul(px, z2);              // xP·Z²
-      const BigInt s2 = mq.mul(py, mq.mul(z2, v.z));  // yP·Z³
-      const BigInt hh = mod_sub(u2, v.x, q);
-      const BigInt rr = mod_sub(s2, v.y, q);
-      if (hh.is_zero()) {
-        if (rr.is_zero()) {
-          // V == P: tangent at the affine point, scaled by its denominator.
-          const BigInt x2p = mq.mul(px, px);
-          const BigInt num =
-              mod_add(mod_add(mod_add(x2p, x2p, q), x2p, q), one_m, q);
-          const BigInt den = mod_add(py, py, q);
-          Fq2 line;
-          line.a = mod_sub(mq.mul(num, mod_add(qx, px, q)), mq.mul(den, py), q);
-          line.b = mq.mul(den, qy);
-          f = fq2_mul_m(f, line, mq, q);
-          const Point dbl = point_double(p, q);
-          v = dbl.infinity
-                  ? MillerPoint{one_m, one_m, BigInt{}}
-                  : MillerPoint{mq.to_mont(dbl.x), mq.to_mont(dbl.y), one_m};
-        } else {
-          // V == −P: vertical line (eliminated); V + P = O.
-          v = MillerPoint{one_m, one_m, BigInt{}};
-        }
-        continue;
-      }
-      // Line through V and P scaled by Z·H:
-      //   real = R·(xQ + xP) − yP·Z·H,  imag = Z·H·yQ.
-      const BigInt zh = mq.mul(v.z, hh);
-      Fq2 line;
-      line.a = mod_sub(mq.mul(rr, mod_add(qx, px, q)), mq.mul(py, zh), q);
-      line.b = mq.mul(zh, qy);
-      f = fq2_mul_m(f, line, mq, q);
-
-      // V ← V + P (mixed Jacobian addition).
-      const BigInt h2 = mq.mul(hh, hh);
-      const BigInt h3 = mq.mul(h2, hh);
-      const BigInt uh2 = mq.mul(v.x, h2);
-      const BigInt xp =
-          mod_sub(mod_sub(mq.mul(rr, rr), h3, q), mod_add(uh2, uh2, q), q);
-      const BigInt yp =
-          mod_sub(mq.mul(rr, mod_sub(uh2, xp, q)), mq.mul(v.y, h3), q);
-      v = MillerPoint{xp, yp, zh};
-    }
-  }
-
-  // Final exponentiation: f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
-  // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q². Inversion drops out of
-  // Montgomery form for the extended-Euclid step, then re-enters.
-  const Fq2 f_conj = fq2_conj(f, q);
-  const BigInt norm = mod_add(mq.mul(f.a, f.a), mq.mul(f.b, f.b), q);
-  const BigInt norm_inv = mq.to_mont(mod_inv(mq.from_mont(norm), q));
-  const Fq2 f_inv{mq.mul(f.a, norm_inv),
-                  mq.mul(mod_sub(BigInt{}, f.b, q), norm_inv)};
-  const Fq2 f_q_minus_1 = fq2_mul_m(f_conj, f_inv, mq, q);
-  const Fq2 result_m =
-      fq2_pow_m(f_q_minus_1, params_.h, Fq2{one_m, BigInt{}}, mq, q);
-  return Fq2{mq.from_mont(result_m.a), mq.from_mont(result_m.b)};
-}
-
-namespace {
 using fqm::Fe;
 using fqm::Fe2;
 
-// Per-term Miller-loop state on the allocation-free fixed-limb field
-// representation: affine P and Q plus the running Jacobian V.
-struct MillerTermM {
-  Fe px, py, qx, qy;
-  Fe vx, vy, vz;  // vz == 0 → V = O
+// The V-chain of one Miller loop f_{r,P}: affine P and the running V in
+// Jacobian coordinates (vz == 0 → V = O), all in Montgomery form. V stays
+// projective, so no step inverts: each line is scaled by its λ-denominator,
+// which lies in F_q* and is killed by the final exponentiation
+// ((q−1) divides (q²−1)/r), the same argument that drops vertical lines.
+struct MillerChain {
+  Fe px, py;
+  Fe vx, vy, vz;
 };
+
+MillerChain miller_chain(const math::Montgomery& mq, const Point& p) {
+  MillerChain c;
+  c.px = c.vx = fqm::fe_from(mq, p.x);
+  c.py = c.vy = fqm::fe_from(mq, p.y);
+  c.vz = fqm::fe_from(mq, BigInt{1});
+  return c;
+}
+
+// One step of the chain (curve coefficient a = 1). Writes the step's line
+// into `line`, then advances V: the tangent at V and V ← 2V when `add` is
+// false; the chord through V and P and V ← V + P (mixed addition) when it
+// is true, including the V == ±P corners.
+void miller_step(const math::Montgomery& mq, MillerChain& c, bool add,
+                 MillerLine& line) {
+  const std::size_t k = mq.limb_count();
+  line.skip = false;
+  if (!add) {
+    if (fqm::fe_is_zero(c.vz, k)) {
+      line.skip = true;  // V = O stays O
+      return;
+    }
+    // Tangent at V scaled by 2YZ³: A = M·Z², B = M·X − 2Y², C = 2YZ³.
+    Fe x2, z2, z4, m, y2, two_y2, yz, s, xp, y4, yp, u;
+    fqm::fe_sqr(mq, c.vx, x2);
+    fqm::fe_sqr(mq, c.vz, z2);
+    fqm::fe_sqr(mq, z2, z4);
+    fqm::fe_add(mq, x2, x2, m);
+    fqm::fe_add(mq, m, x2, m);
+    fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
+    fqm::fe_sqr(mq, c.vy, y2);
+    fqm::fe_add(mq, y2, y2, two_y2);
+    fqm::fe_mul(mq, c.vy, c.vz, yz);
+    fqm::fe_add(mq, yz, yz, line.c);
+    fqm::fe_mul(mq, line.c, z2, line.c);  // 2YZ³
+    fqm::fe_mul(mq, m, z2, line.a);
+    fqm::fe_mul(mq, m, c.vx, line.b);
+    fqm::fe_sub(mq, line.b, two_y2, line.b);
+
+    fqm::fe_mul(mq, c.vx, y2, s);
+    fqm::fe_dbl(mq, s, s);
+    fqm::fe_dbl(mq, s, s);  // S = 4XY²
+    fqm::fe_sqr(mq, m, xp);
+    fqm::fe_add(mq, s, s, u);
+    fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
+    fqm::fe_sqr(mq, y2, y4);
+    fqm::fe_dbl(mq, y4, y4);
+    fqm::fe_dbl(mq, y4, y4);
+    fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
+    fqm::fe_sub(mq, s, xp, u);
+    fqm::fe_mul(mq, m, u, yp);
+    fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
+    c.vx = xp;
+    c.vy = yp;
+    fqm::fe_add(mq, yz, yz, c.vz);  // Z' = 2YZ (0 iff Y was 0 → V = O)
+    return;
+  }
+
+  if (fqm::fe_is_zero(c.vz, k)) {
+    line.skip = true;  // O + P = P
+    c.vx = c.px;
+    c.vy = c.py;
+    c.vz = fqm::fe_from(mq, BigInt{1});
+    return;
+  }
+  Fe z2, u2, s2, hh, rr, u;
+  fqm::fe_sqr(mq, c.vz, z2);
+  fqm::fe_mul(mq, c.px, z2, u2);
+  fqm::fe_mul(mq, z2, c.vz, s2);
+  fqm::fe_mul(mq, c.py, s2, s2);
+  fqm::fe_sub(mq, u2, c.vx, hh);
+  fqm::fe_sub(mq, s2, c.vy, rr);
+  if (fqm::fe_is_zero(hh, k)) {
+    if (!fqm::fe_is_zero(rr, k)) {
+      line.skip = true;  // V == −P: vertical line (eliminated); V + P = O
+      c.vz = Fe{};
+      return;
+    }
+    // V == P: tangent at the affine point, scaled by its denominator:
+    // A = 3xP² + 1, B = A·xP − 2yP·yP, C = 2yP.
+    const Fe one_m = fqm::fe_from(mq, BigInt{1});
+    Fe x2p;
+    fqm::fe_sqr(mq, c.px, x2p);
+    fqm::fe_add(mq, x2p, x2p, line.a);
+    fqm::fe_add(mq, line.a, x2p, line.a);
+    fqm::fe_add(mq, line.a, one_m, line.a);
+    fqm::fe_add(mq, c.py, c.py, line.c);
+    fqm::fe_mul(mq, line.a, c.px, line.b);
+    fqm::fe_mul(mq, line.c, c.py, u);
+    fqm::fe_sub(mq, line.b, u, line.b);
+    // V ← 2P via the plain-domain path (cold corner case).
+    const Point pa{fqm::fe_to(mq, c.px), fqm::fe_to(mq, c.py), false};
+    const Point dbl = point_double(pa, mq.modulus());
+    if (dbl.infinity) {
+      c.vz = Fe{};
+    } else {
+      c.vx = fqm::fe_from(mq, dbl.x);
+      c.vy = fqm::fe_from(mq, dbl.y);
+      c.vz = one_m;
+    }
+    return;
+  }
+  // Chord through V and P scaled by Z·H: A = R, B = R·xP − yP·Z·H,
+  // C = Z·H.
+  fqm::fe_mul(mq, c.vz, hh, line.c);
+  line.a = rr;
+  fqm::fe_mul(mq, rr, c.px, line.b);
+  fqm::fe_mul(mq, c.py, line.c, u);
+  fqm::fe_sub(mq, line.b, u, line.b);
+
+  Fe h2, h3, uh2, xp, yp;
+  fqm::fe_sqr(mq, hh, h2);
+  fqm::fe_mul(mq, h2, hh, h3);
+  fqm::fe_mul(mq, c.vx, h2, uh2);
+  fqm::fe_sqr(mq, rr, xp);
+  fqm::fe_sub(mq, xp, h3, xp);
+  fqm::fe_add(mq, uh2, uh2, u);
+  fqm::fe_sub(mq, xp, u, xp);  // X' = R² − H³ − 2·X·H²
+  fqm::fe_sub(mq, uh2, xp, u);
+  fqm::fe_mul(mq, rr, u, yp);
+  fqm::fe_mul(mq, c.vy, h3, u);
+  fqm::fe_sub(mq, yp, u, yp);  // Y' = R(X·H² − X') − Y·H³
+  c.vx = xp;
+  c.vy = yp;
+  c.vz = line.c;  // Z' = Z·H
+}
+
+// One factor f_{r,P}(φ(Q)) of a pairing product. A live term advances its
+// own chain one step at a time; a precomputed term reads the lines that
+// Pairing::miller_precompute stored for the same chain.
+struct MillerTerm {
+  Fe qx, qy;
+  MillerChain chain;
+  const MillerLine* stored = nullptr;  // next precomputed line, if any
+};
+
+MillerTerm live_term(const math::Montgomery& mq, const Point& p,
+                     const Point& q) {
+  return {fqm::fe_from(mq, q.x), fqm::fe_from(mq, q.y), miller_chain(mq, p)};
+}
 
 // The shared final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
 // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q².
@@ -481,148 +480,40 @@ Fq2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
   return Fq2{fqm::fe_to(mq, res.a), fqm::fe_to(mq, res.b)};
 }
 
-// Interleaved Miller loops computing ∏ f_{r,P_i}(φ(Q_i)): one shared F_q²
-// accumulator (a single squaring per bit regardless of the term count)
-// followed by ONE final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h.
-// The line/double/add formulas are the fixed-limb port of pair_reference;
-// see the comments there for the derivations.
-Fq2 miller_product(const math::Montgomery& mq, const Params& params,
-                   std::vector<MillerTermM>& terms) {
-  const std::size_t k = mq.limb_count();
-  const BigInt& r = params.r;
-  const Fe one_m = fqm::fe_from(mq, BigInt{1});
+// The one Miller loop every pairing runs: ∏ f_{r,P_i}(φ(Q_i)) with
+// φ(x, y) = (−x, i·y), interleaved over the terms. The shared F_q²
+// accumulator takes a single squaring per bit of r, whatever the term
+// count; every term then multiplies in its next line, and ONE final
+// exponentiation follows. Each line is evaluated as soon as it is produced.
+// fe_* always return the canonical residue in [0, q), so a stored line
+// evaluates to exactly the limbs of a live one.
+Fq2 miller_loop(const math::Montgomery& mq, const Params& params,
+                std::vector<MillerTerm>& terms) {
   Fe2 f = fqm::fe2_one(mq);
-  Fe2 tmp;
-
-  for (auto& t : terms) {
-    t.vx = t.px;
-    t.vy = t.py;
-    t.vz = one_m;
-  }
-
+  Fe2 line, tmp;
+  MillerLine live;
+  auto eval = [&](MillerTerm& t, bool add) {
+    const MillerLine* l = t.stored;
+    if (l != nullptr) {
+      ++t.stored;
+    } else {
+      miller_step(mq, t.chain, add, live);
+      l = &live;
+    }
+    if (l->skip) return;
+    fqm::fe_mul(mq, l->a, t.qx, line.a);
+    fqm::fe_add(mq, line.a, l->b, line.a);
+    fqm::fe_mul(mq, l->c, t.qy, line.b);
+    fqm::fe2_mul(mq, f, line, tmp);
+    f = tmp;
+  };
+  const BigInt& r = params.r;
   for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
     fqm::fe2_sqr(mq, f, f);
-    for (auto& t : terms) {
-      if (fqm::fe_is_zero(t.vz, k)) continue;
-      // Tangent line at V scaled by 2YZ³, then V ← 2V (a = 1).
-      Fe x2, z2, z4, m, y2, two_y2, yz, two_yz3, s, xp, y4, yp, u;
-      fqm::fe_sqr(mq, t.vx, x2);
-      fqm::fe_sqr(mq, t.vz, z2);
-      fqm::fe_sqr(mq, z2, z4);
-      fqm::fe_add(mq, x2, x2, m);
-      fqm::fe_add(mq, m, x2, m);
-      fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
-      fqm::fe_sqr(mq, t.vy, y2);
-      fqm::fe_add(mq, y2, y2, two_y2);
-      fqm::fe_mul(mq, t.vy, t.vz, yz);
-      fqm::fe_add(mq, yz, yz, two_yz3);
-      fqm::fe_mul(mq, two_yz3, z2, two_yz3);  // 2YZ³
-      Fe2 line;
-      fqm::fe_mul(mq, m, z2, u);
-      fqm::fe_mul(mq, u, t.qx, u);  // M·Z²·xQ
-      fqm::fe_mul(mq, m, t.vx, line.a);
-      fqm::fe_add(mq, line.a, u, line.a);
-      fqm::fe_sub(mq, line.a, two_y2, line.a);
-      fqm::fe_mul(mq, two_yz3, t.qy, line.b);
-      fqm::fe2_mul(mq, f, line, tmp);
-      f = tmp;
-
-      fqm::fe_mul(mq, t.vx, y2, s);
-      fqm::fe_dbl(mq, s, s);
-      fqm::fe_dbl(mq, s, s);  // S = 4XY²
-      fqm::fe_sqr(mq, m, xp);
-      fqm::fe_add(mq, s, s, u);
-      fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
-      fqm::fe_sqr(mq, y2, y4);
-      fqm::fe_dbl(mq, y4, y4);
-      fqm::fe_dbl(mq, y4, y4);
-      fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
-      fqm::fe_sub(mq, s, xp, u);
-      fqm::fe_mul(mq, m, u, yp);
-      fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
-      t.vx = xp;
-      t.vy = yp;
-      fqm::fe_add(mq, yz, yz, t.vz);  // Z' = 2YZ (0 iff Y was 0 → V = O)
-    }
-
+    for (MillerTerm& t : terms) eval(t, false);
     if (!r.bit(i)) continue;
-    for (auto& t : terms) {
-      if (fqm::fe_is_zero(t.vz, k)) {
-        t.vx = t.px;
-        t.vy = t.py;
-        t.vz = one_m;
-        continue;
-      }
-      // V + P (mixed addition) with the V == ±P corner cases.
-      Fe z2, u2, s2, hh, rr, u;
-      fqm::fe_sqr(mq, t.vz, z2);
-      fqm::fe_mul(mq, t.px, z2, u2);
-      fqm::fe_mul(mq, z2, t.vz, s2);
-      fqm::fe_mul(mq, t.py, s2, s2);
-      fqm::fe_sub(mq, u2, t.vx, hh);
-      fqm::fe_sub(mq, s2, t.vy, rr);
-      if (fqm::fe_is_zero(hh, k)) {
-        if (fqm::fe_is_zero(rr, k)) {
-          // V == P: tangent at the affine point, scaled by its denominator.
-          Fe x2p, num, den;
-          fqm::fe_sqr(mq, t.px, x2p);
-          fqm::fe_add(mq, x2p, x2p, num);
-          fqm::fe_add(mq, num, x2p, num);
-          fqm::fe_add(mq, num, one_m, num);  // 3xP² + 1
-          fqm::fe_add(mq, t.py, t.py, den);  // 2yP
-          Fe2 line;
-          fqm::fe_add(mq, t.qx, t.px, u);
-          fqm::fe_mul(mq, num, u, line.a);
-          fqm::fe_mul(mq, den, t.py, u);
-          fqm::fe_sub(mq, line.a, u, line.a);
-          fqm::fe_mul(mq, den, t.qy, line.b);
-          fqm::fe2_mul(mq, f, line, tmp);
-          f = tmp;
-          // V ← 2P via the plain-domain path (cold corner case).
-          const Point pa{fqm::fe_to(mq, t.px), fqm::fe_to(mq, t.py), false};
-          const Point dbl = point_double(pa, params.q);
-          if (dbl.infinity) {
-            t.vz = Fe{};
-          } else {
-            t.vx = fqm::fe_from(mq, dbl.x);
-            t.vy = fqm::fe_from(mq, dbl.y);
-            t.vz = one_m;
-          }
-        } else {
-          t.vz = Fe{};  // V == −P: vertical line (eliminated); V + P = O
-        }
-        continue;
-      }
-      Fe zh;
-      fqm::fe_mul(mq, t.vz, hh, zh);
-      Fe2 line;
-      fqm::fe_add(mq, t.qx, t.px, u);
-      fqm::fe_mul(mq, rr, u, line.a);
-      fqm::fe_mul(mq, t.py, zh, u);
-      fqm::fe_sub(mq, line.a, u, line.a);  // R·(xQ + xP) − yP·Z·H
-      fqm::fe_mul(mq, zh, t.qy, line.b);
-      fqm::fe2_mul(mq, f, line, tmp);
-      f = tmp;
-
-      Fe h2, h3, uh2, xp, yp;
-      fqm::fe_sqr(mq, hh, h2);
-      fqm::fe_mul(mq, h2, hh, h3);
-      fqm::fe_mul(mq, t.vx, h2, uh2);
-      fqm::fe_sqr(mq, rr, xp);
-      fqm::fe_sub(mq, xp, h3, xp);
-      fqm::fe_add(mq, uh2, uh2, u);
-      fqm::fe_sub(mq, xp, u, xp);
-      fqm::fe_sub(mq, uh2, xp, u);
-      fqm::fe_mul(mq, rr, u, yp);
-      fqm::fe_mul(mq, t.vy, h3, u);
-      fqm::fe_sub(mq, yp, u, yp);
-      t.vx = xp;
-      t.vy = yp;
-      t.vz = zh;
-    }
+    for (MillerTerm& t : terms) eval(t, true);
   }
-
-  // The single shared final exponentiation.
   return final_exponentiation_m(mq, params, f);
 }
 }  // namespace
@@ -630,187 +521,40 @@ Fq2 miller_product(const math::Montgomery& mq, const Params& params,
 Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
   probe::ScopedTimer timer(pair_probe_);
   if (p.infinity || qpt.infinity) return fq2_one();
-  if (!montq_.fits_fixed()) return pair_reference(p, qpt);
-  std::vector<MillerTermM> terms(1);
-  terms[0].px = fqm::fe_from(montq_, p.x);
-  terms[0].py = fqm::fe_from(montq_, p.y);
-  terms[0].qx = fqm::fe_from(montq_, qpt.x);
-  terms[0].qy = fqm::fe_from(montq_, qpt.y);
-  return miller_product(montq_, params_, terms);
+  std::vector<MillerTerm> terms{live_term(montq_, p, qpt)};
+  return miller_loop(montq_, params_, terms);
 }
 
 Fq2 Pairing::pair_product(std::span<const PairTerm> in) const {
   probe::ScopedTimer timer(pair_product_probe_);
   probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
-  if (!montq_.fits_fixed()) {
-    // Oversized modulus: independent reference pairings (one final
-    // exponentiation each); the product is identical, just slower.
-    Fq2 acc = fq2_one();
-    for (const PairTerm& t : in) {
-      acc = fq2_mul(acc, pair_reference(t.p, t.q), params_.q);
-    }
-    return acc;
-  }
-  std::vector<MillerTermM> terms;
+  std::vector<MillerTerm> terms;
   terms.reserve(in.size());
   for (const PairTerm& t : in) {
     if (t.p.infinity || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    MillerTermM m;
-    m.px = fqm::fe_from(montq_, t.p.x);
-    m.py = fqm::fe_from(montq_, t.p.y);
-    m.qx = fqm::fe_from(montq_, t.q.x);
-    m.qy = fqm::fe_from(montq_, t.q.y);
-    terms.push_back(m);
+    terms.push_back(live_term(montq_, t.p, t.q));
   }
-  return miller_product(montq_, params_, terms);
+  return miller_loop(montq_, params_, terms);
 }
 
 MillerPrecomp Pairing::miller_precompute(const Point& p) const {
   MillerPrecomp pre;
-  pre.point_ = p;
   if (p.infinity) {
     pre.infinity_ = true;
     return pre;
   }
-  if (!montq_.fits_fixed()) return pre;  // consumers use the point_ fallback
-  const math::Montgomery& mq = montq_;
-  const std::size_t k = mq.limb_count();
   const BigInt& r = params_.r;
-  const Fe one_m = fqm::fe_from(mq, BigInt{1});
-  const Fe px = fqm::fe_from(mq, p.x);
-  const Fe py = fqm::fe_from(mq, p.y);
-  Fe vx = px, vy = py, vz = one_m;
-
   const std::size_t bits = r.bit_length();
   std::size_t set_bits = 0;
   for (std::size_t i = 0; i + 1 < bits; ++i) set_bits += r.bit(i) ? 1 : 0;
   pre.slots_.reserve((bits - 1) + set_bits);
 
-  // Walk the exact V-chain of miller_product, recording each line's
-  // (A, B, C) instead of evaluating it against a Q.
+  // The step schedule of miller_loop, storing each line instead of
+  // evaluating it against a Q.
+  MillerChain chain = miller_chain(montq_, p);
   for (std::size_t i = bits - 1; i-- > 0;) {
-    {
-      MillerPrecomp::Slot slot;
-      if (fqm::fe_is_zero(vz, k)) {
-        slot.skip = true;
-        pre.slots_.push_back(slot);
-      } else {
-        // Tangent at V scaled by 2YZ³: A = M·Z², B = M·X − 2Y², C = 2YZ³.
-        Fe x2, z2, z4, m, y2, two_y2, yz, two_yz3, s, xp, y4, yp, u;
-        fqm::fe_sqr(mq, vx, x2);
-        fqm::fe_sqr(mq, vz, z2);
-        fqm::fe_sqr(mq, z2, z4);
-        fqm::fe_add(mq, x2, x2, m);
-        fqm::fe_add(mq, m, x2, m);
-        fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
-        fqm::fe_sqr(mq, vy, y2);
-        fqm::fe_add(mq, y2, y2, two_y2);
-        fqm::fe_mul(mq, vy, vz, yz);
-        fqm::fe_add(mq, yz, yz, two_yz3);
-        fqm::fe_mul(mq, two_yz3, z2, two_yz3);  // 2YZ³
-        fqm::fe_mul(mq, m, z2, slot.a);
-        fqm::fe_mul(mq, m, vx, slot.b);
-        fqm::fe_sub(mq, slot.b, two_y2, slot.b);
-        slot.c = two_yz3;
-        pre.slots_.push_back(slot);
-
-        // V ← 2V (a = 1), identical update to miller_product.
-        fqm::fe_mul(mq, vx, y2, s);
-        fqm::fe_dbl(mq, s, s);
-        fqm::fe_dbl(mq, s, s);  // S = 4XY²
-        fqm::fe_sqr(mq, m, xp);
-        fqm::fe_add(mq, s, s, u);
-        fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
-        fqm::fe_sqr(mq, y2, y4);
-        fqm::fe_dbl(mq, y4, y4);
-        fqm::fe_dbl(mq, y4, y4);
-        fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
-        fqm::fe_sub(mq, s, xp, u);
-        fqm::fe_mul(mq, m, u, yp);
-        fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
-        vx = xp;
-        vy = yp;
-        fqm::fe_add(mq, yz, yz, vz);  // Z' = 2YZ
-      }
-    }
-
-    if (!r.bit(i)) continue;
-    MillerPrecomp::Slot slot;
-    if (fqm::fe_is_zero(vz, k)) {
-      slot.skip = true;
-      pre.slots_.push_back(slot);
-      vx = px;
-      vy = py;
-      vz = one_m;
-      continue;
-    }
-    // V + P (mixed addition) with the V == ±P corner cases.
-    Fe z2, u2, s2, hh, rr, u;
-    fqm::fe_sqr(mq, vz, z2);
-    fqm::fe_mul(mq, px, z2, u2);
-    fqm::fe_mul(mq, z2, vz, s2);
-    fqm::fe_mul(mq, py, s2, s2);
-    fqm::fe_sub(mq, u2, vx, hh);
-    fqm::fe_sub(mq, s2, vy, rr);
-    if (fqm::fe_is_zero(hh, k)) {
-      if (fqm::fe_is_zero(rr, k)) {
-        // V == P: tangent at the affine point. A = 3xP² + 1,
-        // B = A·xP − 2yP·yP... kept literally in sync with miller_product:
-        // B = num·xP − den·yP, C = den = 2yP.
-        Fe x2p, num, den;
-        fqm::fe_sqr(mq, px, x2p);
-        fqm::fe_add(mq, x2p, x2p, num);
-        fqm::fe_add(mq, num, x2p, num);
-        fqm::fe_add(mq, num, one_m, num);  // 3xP² + 1
-        fqm::fe_add(mq, py, py, den);      // 2yP
-        slot.a = num;
-        fqm::fe_mul(mq, num, px, slot.b);
-        fqm::fe_mul(mq, den, py, u);
-        fqm::fe_sub(mq, slot.b, u, slot.b);
-        slot.c = den;
-        pre.slots_.push_back(slot);
-        // V ← 2P via the plain-domain path (cold corner case).
-        const Point pa{fqm::fe_to(mq, px), fqm::fe_to(mq, py), false};
-        const Point dbl = point_double(pa, params_.q);
-        if (dbl.infinity) {
-          vz = Fe{};
-        } else {
-          vx = fqm::fe_from(mq, dbl.x);
-          vy = fqm::fe_from(mq, dbl.y);
-          vz = one_m;
-        }
-      } else {
-        // V == −P: vertical line (eliminated); V + P = O.
-        slot.skip = true;
-        pre.slots_.push_back(slot);
-        vz = Fe{};
-      }
-      continue;
-    }
-    Fe zh;
-    fqm::fe_mul(mq, vz, hh, zh);
-    slot.a = rr;  // line = R·xQ + (R·xP − yP·Z·H) + i·(Z·H·yQ)
-    fqm::fe_mul(mq, rr, px, slot.b);
-    fqm::fe_mul(mq, py, zh, u);
-    fqm::fe_sub(mq, slot.b, u, slot.b);
-    slot.c = zh;
-    pre.slots_.push_back(slot);
-
-    Fe h2, h3, uh2, xp, yp;
-    fqm::fe_sqr(mq, hh, h2);
-    fqm::fe_mul(mq, h2, hh, h3);
-    fqm::fe_mul(mq, vx, h2, uh2);
-    fqm::fe_sqr(mq, rr, xp);
-    fqm::fe_sub(mq, xp, h3, xp);
-    fqm::fe_add(mq, uh2, uh2, u);
-    fqm::fe_sub(mq, xp, u, xp);
-    fqm::fe_sub(mq, uh2, xp, u);
-    fqm::fe_mul(mq, rr, u, yp);
-    fqm::fe_mul(mq, vy, h3, u);
-    fqm::fe_sub(mq, yp, u, yp);
-    vx = xp;
-    vy = yp;
-    vz = zh;
+    miller_step(montq_, chain, false, pre.slots_.emplace_back());
+    if (r.bit(i)) miller_step(montq_, chain, true, pre.slots_.emplace_back());
   }
   return pre;
 }
@@ -818,64 +562,26 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
 Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
   probe::ScopedTimer timer(pair_product_probe_);
   probe::observe(pair_product_pairs_probe_, static_cast<double>(in.size()));
-  if (!montq_.fits_fixed()) {
-    Fq2 acc = fq2_one();
-    for (const PrecompPairTerm& t : in) {
-      acc = fq2_mul(acc, pair_reference(t.p->point_, t.q), params_.q);
-    }
-    return acc;
-  }
-
-  // Live term state: the precomputed slot stream plus Q in Montgomery form.
-  struct TermState {
-    const MillerPrecomp* pre;
-    Fe qx, qy;
-    std::size_t cursor = 0;
-  };
-  std::vector<TermState> terms;
+  std::vector<MillerTerm> terms;
   terms.reserve(in.size());
   for (const PrecompPairTerm& t : in) {
     if (t.p->infinity() || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
-    TermState s;
-    s.pre = t.p;
-    s.qx = fqm::fe_from(montq_, t.q.x);
-    s.qy = fqm::fe_from(montq_, t.q.y);
-    terms.push_back(s);
+    MillerTerm m;
+    m.qx = fqm::fe_from(montq_, t.q.x);
+    m.qy = fqm::fe_from(montq_, t.q.y);
+    m.stored = t.p->slots_.data();
+    terms.push_back(m);
   }
-
-  const math::Montgomery& mq = montq_;
-  const BigInt& r = params_.r;
-  Fe2 f = fqm::fe2_one(mq);
-  Fe2 tmp;
-  Fe u;
-  // Same interleaved loop shape as miller_product: one shared squaring per
-  // bit, then every term consumes its next slot. Because fe_add/fe_sub/
-  // fe_mul always produce the canonical representative in [0, q), the
-  // regrouped evaluation A·xQ + B yields limbs identical to the inline
-  // chain, so the product is bit-identical to the PairTerm overload.
-  auto eval = [&](TermState& t) {
-    const MillerPrecomp::Slot& slot = t.pre->slots_[t.cursor++];
-    if (slot.skip) return;
-    Fe2 line;
-    fqm::fe_mul(mq, slot.a, t.qx, u);
-    fqm::fe_add(mq, u, slot.b, line.a);
-    fqm::fe_mul(mq, slot.c, t.qy, line.b);
-    fqm::fe2_mul(mq, f, line, tmp);
-    f = tmp;
-  };
-  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-    fqm::fe2_sqr(mq, f, f);
-    for (auto& t : terms) eval(t);
-    if (!r.bit(i)) continue;
-    for (auto& t : terms) eval(t);
-  }
-  return final_exponentiation_m(mq, params_, f);
+  return miller_loop(montq_, params_, terms);
 }
 
 GtFixedBase::GtFixedBase(const math::Montgomery& mq, const Fq2& base,
                          std::size_t exp_bits)
     : mq_(mq), base_(base) {
-  if (!mq.fits_fixed() || exp_bits == 0) return;
+  if (!mq.fits_fixed()) {
+    throw std::invalid_argument("GtFixedBase: modulus wider than 512 bits");
+  }
+  if (exp_bits == 0) return;
   windows_ = (exp_bits + 3) / 4;
   table_.reserve(windows_ * 15);
   Fe2 cur{fqm::fe_from(mq, base.a), fqm::fe_from(mq, base.b)};

@@ -33,12 +33,14 @@ struct Params {
 };
 
 /// Generate fresh parameters: r with `r_bits` bits, q with `q_bits` bits.
-/// q_bits must exceed r_bits by at least 8.
+/// q_bits must exceed r_bits by at least 8 and be at most 512 (the widest
+/// field the Pairing accepts); std::invalid_argument otherwise.
 Params generate_params(Rng& rng, std::size_t r_bits, std::size_t q_bits);
 /// Same search over a caller-chosen prime group order r (e.g. a Solinas
 /// prime, whose sparse bits make every Miller loop nearly addition-free):
 /// h = 4k with k drawn from `rng`, q = h·r − 1 of exactly `q_bits` bits.
-/// Throws std::invalid_argument if r is not prime or too wide for q_bits.
+/// Throws std::invalid_argument if r is not prime, r is too wide for q_bits,
+/// or q_bits exceeds 512.
 Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits);
 
 /// One (P, Q) input to a multi-pairing product.
@@ -47,33 +49,35 @@ struct PairTerm {
   Point q;
 };
 
+/// One Miller-loop line, evaluated at φ(Q) as (a·xQ + b) + i·(c·yQ).
+struct MillerLine {
+  fqm::Fe a, b, c;
+  bool skip = false;  // V at O or a vertical line: no GT multiplication
+};
+
 /// Ciphertext-side Miller-loop precompute for one G1 point P. The Jacobian
 /// V-chain of the Miller loop depends only on P; the second input Q enters
 /// each iteration solely through the line evaluation, which is affine in
-/// Q's coordinates: line = (A·xQ + B) + i·(C·yQ). Precomputing the (A,B,C)
-/// stream once per point turns every later pairing against a fresh Q into
-/// ~5 field multiplications per slot instead of the full double/add chain —
-/// this is the per-broadcast state a subscriber reuses across all of its
-/// tokens. Produced by Pairing::miller_precompute; consumed by the
-/// PrecompPairTerm pair_product overload, which is bit-identical to the
-/// plain pair_product on the same (P, Q) inputs.
+/// Q's coordinates. Storing the lines once per point turns every later
+/// pairing against a fresh Q into ~5 field multiplications per slot instead
+/// of the full double/add chain — this is the per-broadcast state a
+/// subscriber reuses across all of its tokens. Produced by
+/// Pairing::miller_precompute; consumed by pair_product_precomp, which runs
+/// the same loop as pair_product and is bit-identical to it.
 class MillerPrecomp {
  public:
   bool infinity() const { return infinity_; }
-  std::size_t memory_bytes() const { return slots_.size() * sizeof(Slot); }
+  std::size_t memory_bytes() const {
+    return slots_.size() * sizeof(MillerLine);
+  }
 
  private:
   friend class Pairing;
-  struct Slot {
-    fqm::Fe a, b, c;    // line = (a·xQ + b) + i·(c·yQ)
-    bool skip = false;  // V at O or a vertical line: no GT multiplication
-  };
   bool infinity_ = false;
-  Point point_;  // original P, for the oversized-modulus reference fallback
   // Fixed schedule over r's bits: one slot per doubling iteration plus one
   // per set bit (mixed addition), so every precomp of the same pairing
   // walks in lockstep with the interleaved product loop.
-  std::vector<Slot> slots_;
+  std::vector<MillerLine> slots_;
 };
 
 /// One (precomputed-P, Q) input to a multi-pairing product.
@@ -89,6 +93,7 @@ struct PrecompPairTerm {
 /// for its own table, HvePrecomp holds the PairingPtr).
 class GtFixedBase {
  public:
+  /// Throws std::invalid_argument unless mq.fits_fixed().
   GtFixedBase(const math::Montgomery& mq, const Fq2& base,
               std::size_t exp_bits);
 
@@ -111,6 +116,9 @@ class GtFixedBase {
 /// objects bound to the same group.
 class Pairing {
  public:
+  /// Validates the group structure; throws std::invalid_argument on bad
+  /// parameters, including a q wider than 512 bits
+  /// (math::Montgomery::kMaxFixedLimbs limbs, the fixed-limb field width).
   explicit Pairing(Params params);
 
   /// Small deterministic parameters (80-bit r, 160-bit q) for fast tests.
@@ -145,8 +153,8 @@ class Pairing {
   std::size_t g1_bytes() const { return 1 + 2 * q_bytes_; }
 
   // --- GT -----------------------------------------------------------------
-  /// The pairing itself (Montgomery/fixed-limb Miller loop when the modulus
-  /// fits; pair_reference otherwise).
+  /// The pairing itself: a one-term pair_product (fixed-limb Montgomery
+  /// Miller loop), timed under its own probe.
   Fq2 pair(const Point& p, const Point& q) const;
   /// ∏ e(P_i, Q_i) via one interleaved Miller loop sharing a single F_q²
   /// accumulator and a SINGLE final exponentiation. Divisions fold in as
@@ -159,10 +167,6 @@ class Pairing {
   /// ∏ e(P_i, Q_i) with precomputed P_i: identical output (bit for bit) to
   /// pair_product on the same points, ~2.5× less field work.
   Fq2 pair_product_precomp(std::span<const PrecompPairTerm> terms) const;
-  /// The original BigInt Miller loop with per-call final exponentiation.
-  /// Kept as the correctness pin for pair()/pair_product() equivalence
-  /// tests; not instrumented.
-  Fq2 pair_reference(const Point& p, const Point& q) const;
   /// Precomputed e(g, g).
   const Fq2& gt_generator() const { return e_gg_; }
   Fq2 gt_mul(const Fq2& a, const Fq2& b) const;
@@ -177,7 +181,6 @@ class Pairing {
 
  private:
   Params params_;
-  BigInt final_exp_;  // (q² − 1) / r
   std::size_t q_bytes_;
   math::Montgomery montq_;  // Montgomery context for F_q (pairing hot path)
   Fq2 e_gg_;

@@ -330,20 +330,6 @@ Fq2 hve_query(const pairing::Pairing& pairing, const HveToken& token,
   return pairing.gt_mul(ct.c0, pairing.pair_product(terms));
 }
 
-Fq2 hve_query_reference(const pairing::Pairing& pairing, const HveToken& token,
-                        const HveCiphertext& ct) {
-  Fq2 acc = pairing.gt_one();
-  for (std::size_t j = 0; j < token.positions.size(); ++j) {
-    const std::size_t i = token.positions[j];
-    if (i >= ct.width()) {
-      throw std::invalid_argument("hve_query: token/ciphertext width mismatch");
-    }
-    acc = pairing.gt_mul(acc, pairing.pair_reference(ct.x[i], token.y[j]));
-    acc = pairing.gt_mul(acc, pairing.pair_reference(ct.w[i], token.l[j]));
-  }
-  return pairing.gt_mul(ct.c0, acc);
-}
-
 // --- KEM-DEM wrapper -----------------------------------------------------------------
 
 namespace {

@@ -138,11 +138,6 @@ HveToken hve_gen_token(const HveKeys& keys, const Pattern& w, Rng& rng);
 Fq2 hve_query(const pairing::Pairing& pairing, const HveToken& token,
               const HveCiphertext& ct);
 
-/// The original 2|S|-independent-pairings evaluation. Correctness pin for
-/// hve_query equivalence tests; not used on the hot path.
-Fq2 hve_query_reference(const pairing::Pairing& pairing,
-                        const HveToken& token, const HveCiphertext& ct);
-
 // --- KEM-DEM wrapper: how P3S ships the GUID -----------------------------------
 
 /// Encrypt an arbitrary short payload (in P3S: the GUID) under attribute

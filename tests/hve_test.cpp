@@ -3,6 +3,7 @@
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "exec/pool.hpp"
+#include "oracle/oracle.hpp"
 #include "pbe/hve.hpp"
 
 namespace p3s::pbe {
@@ -73,7 +74,7 @@ TEST_F(HveTest, QueryMatchesReferenceEvaluation) {
   for (const Pattern& w : {matching, mismatching}) {
     const auto tok = hve_gen_token(*keys_, w, *rng_);
     EXPECT_EQ(hve_query(*keys_->pk.pairing, tok, ct),
-              hve_query_reference(*keys_->pk.pairing, tok, ct));
+              oracle::hve_query_reference(*keys_->pk.pairing, tok, ct));
   }
 }
 
@@ -291,7 +292,7 @@ TEST(HvePaper, PreparedQueryBitIdenticalToPlainQuery) {
   const auto tok_miss = hve_gen_token(keys, miss, rng);
   EXPECT_EQ(hve_query(p, tok_hit, prepared), hve_query(p, tok_hit, kem));
   EXPECT_EQ(hve_query(p, tok_miss, prepared), hve_query(p, tok_miss, kem));
-  EXPECT_EQ(hve_query(p, tok_hit, kem), hve_query_reference(p, tok_hit, kem));
+  EXPECT_EQ(hve_query(p, tok_hit, kem), oracle::hve_query_reference(p, tok_hit, kem));
   EXPECT_TRUE(hve_query_bytes(p, tok_hit, blob).has_value());
   EXPECT_FALSE(hve_query_bytes(p, tok_miss, blob).has_value());
 }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "math/modular.hpp"
+#include "oracle/oracle.hpp"
 #include "pairing/curve.hpp"
 #include "pairing/ecies.hpp"
 #include "pairing/fq2.hpp"
@@ -14,6 +16,8 @@ namespace {
 
 using math::BigInt;
 using math::mod;
+using oracle::pair_reference;
+using oracle::point_mul;
 
 class PairingTest : public ::testing::Test {
  protected:
@@ -60,7 +64,8 @@ TEST_F(PairingTest, Fq2PowMatchesRepeatedMul) {
   const Fq2 x{BigInt{3}, BigInt{5}};
   Fq2 acc = fq2_one();
   for (int e = 0; e < 20; ++e) {
-    EXPECT_EQ(fq2_pow(x, BigInt{e}, q), acc) << e;
+    EXPECT_EQ(oracle::fq2_pow(x, BigInt{e}, q), acc) << e;
+    EXPECT_EQ(fq2_pow(x, BigInt{e}, pp_->mont_q()), acc) << e;
     acc = fq2_mul(acc, x, q);
   }
 }
@@ -70,7 +75,8 @@ TEST_F(PairingTest, Fq2ConjIsFrobenius) {
   const BigInt& q = pp_->q();
   TestRng rng(2);
   const Fq2 x{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-  EXPECT_EQ(fq2_pow(x, q, q), fq2_conj(x, q));
+  EXPECT_EQ(fq2_pow(x, q, pp_->mont_q()), fq2_conj(x, q));
+  EXPECT_EQ(oracle::fq2_pow(x, q, q), fq2_conj(x, q));
 }
 
 TEST_F(PairingTest, Fq2InvZeroThrows) {
@@ -144,7 +150,8 @@ TEST_F(PairingTest, NonDegenerate) {
 
 TEST_F(PairingTest, GtElementHasOrderR) {
   const Fq2 e = pp_->gt_generator();
-  EXPECT_TRUE(fq2_is_one(fq2_pow(e, pp_->r(), pp_->q())));
+  EXPECT_TRUE(fq2_is_one(fq2_pow(e, pp_->r(), pp_->mont_q())));
+  EXPECT_TRUE(fq2_is_one(oracle::fq2_pow(e, pp_->r(), pp_->q())));
 }
 
 TEST_F(PairingTest, Bilinearity) {
@@ -299,7 +306,7 @@ TEST_F(PairingTest, FastPairMatchesReference) {
   for (int i = 0; i < 5; ++i) {
     const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
     const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
-    EXPECT_EQ(pp_->pair(a, b), pp_->pair_reference(a, b));
+    EXPECT_EQ(pp_->pair(a, b), pair_reference(*pp_, a, b));
   }
 }
 
@@ -313,7 +320,7 @@ TEST_F(PairingTest, PairProductMatchesProductOfPairs) {
       const Point b =
           pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
       terms.push_back({a, b});
-      expect = pp_->gt_mul(expect, pp_->pair_reference(a, b));
+      expect = pp_->gt_mul(expect, pair_reference(*pp_, a, b));
     }
     EXPECT_EQ(pp_->pair_product(terms), expect) << n;
   }
@@ -380,18 +387,23 @@ TEST_F(PairingTest, Wnaf4DigitsReconstructScalar) {
 TEST_F(PairingTest, GtFixedBaseMatchesGenericPow) {
   const Fq2 base = pp_->random_gt(rng_);
   const GtFixedBase table(pp_->mont_q(), base, pp_->r().bit_length());
+  // The last exponent is wider than the table, so pow() takes the generic
+  // windowed path.
   std::vector<BigInt> exps{BigInt{}, BigInt{1}, pp_->r() - BigInt{1}};
   for (int i = 0; i < 4; ++i) {
     exps.push_back(BigInt::random_below(rng_, pp_->r()));
   }
+  exps.push_back(pp_->r() * pp_->r() + BigInt{7});
   for (const BigInt& e : exps) {
-    EXPECT_EQ(table.pow(e), fq2_pow(base, e, pp_->q())) << e.to_dec();
+    const Fq2 expect = oracle::fq2_pow(base, e, pp_->q());
+    EXPECT_EQ(table.pow(e), expect) << e.to_dec();
+    EXPECT_EQ(fq2_pow(base, e, pp_->mont_q()), expect) << e.to_dec();
   }
   EXPECT_THROW(table.pow(BigInt{-1}), std::invalid_argument);
   // The Pairing-owned e(g,g) table serves gt_pow on the GT generator.
   const BigInt e = pp_->random_nonzero_scalar(rng_);
   EXPECT_EQ(pp_->gt_pow(pp_->gt_generator(), e),
-            fq2_pow(pp_->gt_generator(), e, pp_->q()));
+            oracle::fq2_pow(pp_->gt_generator(), e, pp_->q()));
 }
 
 TEST_F(PairingTest, MontgomeryFq2PowMatchesPlain) {
@@ -399,7 +411,7 @@ TEST_F(PairingTest, MontgomeryFq2PowMatchesPlain) {
   for (int i = 0; i < 5; ++i) {
     const Fq2 x{BigInt::random_below(rng_, q), BigInt::random_below(rng_, q)};
     const BigInt e = BigInt::random_bits(rng_, 150);
-    EXPECT_EQ(fq2_pow(x, e, pp_->mont_q()), fq2_pow(x, e, q));
+    EXPECT_EQ(fq2_pow(x, e, pp_->mont_q()), oracle::fq2_pow(x, e, q));
   }
 }
 
@@ -459,6 +471,38 @@ TEST(PairingGen, FixedOrderOverloadRejectsCompositeOrWideR) {
                std::invalid_argument);
 }
 
+TEST(PairingWidth, RejectsModulusWiderThan512Bits) {
+  // q = h·r − 1 of 576 bits, q ≡ 3 (mod 4): the fixed-limb field holds at
+  // most 512 bits, and there is no other arithmetic to fall back to.
+  Params wide = Pairing::test_pairing()->params();
+  wide.h = BigInt{1} << (576 - wide.r.bit_length());
+  wide.q = wide.h * wide.r - BigInt{1};
+  ASSERT_EQ(wide.q.bit_length(), 576u);
+  try {
+    const Pairing pairing(wide);
+    ADD_FAILURE() << "576-bit q accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("512"), std::string::npos) << e.what();
+  }
+  // Every entry point that takes a raw Montgomery context checks it too.
+  const math::Montgomery mq(wide.q);
+  ASSERT_FALSE(mq.fits_fixed());
+  const Point g = wide.g;
+  EXPECT_THROW(point_mul_mont(g, BigInt{5}, mq), std::invalid_argument);
+  EXPECT_THROW(fq2_pow(fq2_one(), BigInt{5}, mq), std::invalid_argument);
+  EXPECT_THROW(FixedBaseTable(mq, g, 80), std::invalid_argument);
+  EXPECT_THROW(GtFixedBase(mq, fq2_one(), 80), std::invalid_argument);
+}
+
+TEST(PairingWidth, GenerateParamsRejectsWideQBeforeSearching) {
+  TestRng rng(8);
+  EXPECT_THROW(generate_params(rng, 80, 520), std::invalid_argument);
+  const BigInt solinas_r = Pairing::paper_pairing()->r();
+  EXPECT_THROW(generate_params(rng, solinas_r, 520), std::invalid_argument);
+  // 512 bits is still accepted (the paper group is exactly that wide).
+  EXPECT_EQ(Pairing::paper_pairing()->q().bit_length(), 512u);
+}
+
 // Slots in a MillerPrecomp: one per doubling (every bit below the top) plus
 // one per addition (every set bit below the top).
 std::size_t miller_slots(const BigInt& r) {
@@ -491,13 +535,13 @@ TEST(PairingPaper, PairProductMatchesProductOfReferencePairs) {
     const Point a = pp->random_g1(rng);
     const Point b = pp->random_g1(rng);
     terms.push_back({a, b});
-    expect = pp->gt_mul(expect, pp->pair_reference(a, b));
+    expect = pp->gt_mul(expect, pair_reference(*pp, a, b));
   }
   EXPECT_EQ(pp->pair_product(terms), expect);
   const MillerPrecomp pre = pp->miller_precompute(terms[0].p);
   const std::vector<PrecompPairTerm> pre_terms{{&pre, terms[0].q}};
   EXPECT_EQ(pp->pair_product_precomp(pre_terms),
-            pp->pair_reference(terms[0].p, terms[0].q));
+            pair_reference(*pp, terms[0].p, terms[0].q));
 }
 
 }  // namespace
