@@ -46,21 +46,30 @@ void BM_AeadSeal_1KB(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadSeal_1KB);
 
-void BM_G1_ScalarMul(benchmark::State& state) {
+void g1_scalar_mul_bench(benchmark::State& state,
+                         const pairing::PairingPtr& p) {
   TestRng rng(3);
-  const auto p = pp();
   const auto pt = p->random_g1(rng);
   const auto k = p->random_scalar(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(p->mul(pt, k));
   }
 }
+
+void BM_G1_ScalarMul(benchmark::State& state) {
+  g1_scalar_mul_bench(state, pp());
+}
 BENCHMARK(BM_G1_ScalarMul);
+
+void BM_Paper_G1_ScalarMul(benchmark::State& state) {
+  g1_scalar_mul_bench(state, paper());
+}
+BENCHMARK(BM_Paper_G1_ScalarMul);
 
 void BM_G1_ScalarMul_Reference(benchmark::State& state) {
   TestRng rng(3);
   const auto p = pp();
-  const auto pt = p->random_g1(rng);
+  const auto pt = oracle::plain(*p, p->random_g1(rng));
   const auto k = p->random_scalar(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle::point_mul(pt, k, p->q()));
@@ -68,9 +77,9 @@ void BM_G1_ScalarMul_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_G1_ScalarMul_Reference);
 
-void BM_G1_ScalarMul_FixedBase(benchmark::State& state) {
+void g1_fixed_base_bench(benchmark::State& state,
+                         const pairing::PairingPtr& p) {
   TestRng rng(3);
-  const auto p = pp();
   const pairing::FixedBaseTable table(p->mont_q(), p->random_g1(rng),
                                       p->r().bit_length());
   const auto k = p->random_scalar(rng);
@@ -78,7 +87,29 @@ void BM_G1_ScalarMul_FixedBase(benchmark::State& state) {
     benchmark::DoNotOptimize(table.mul(k));
   }
 }
+
+void BM_G1_ScalarMul_FixedBase(benchmark::State& state) {
+  g1_fixed_base_bench(state, pp());
+}
 BENCHMARK(BM_G1_ScalarMul_FixedBase);
+
+void BM_Paper_G1_ScalarMul_FixedBase(benchmark::State& state) {
+  g1_fixed_base_bench(state, paper());
+}
+BENCHMARK(BM_Paper_G1_ScalarMul_FixedBase);
+
+// Affine point addition (Schnorr verify, CP-ABE KeyGen): one mixed
+// Jacobian addition and one field inversion.
+void BM_Paper_G1_Add(benchmark::State& state) {
+  TestRng rng(3);
+  const auto p = paper();
+  const auto a = p->random_g1(rng);
+  const auto b = p->random_g1(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p->add(a, b));
+  }
+}
+BENCHMARK(BM_Paper_G1_Add);
 
 void BM_Pairing(benchmark::State& state) {
   TestRng rng(4);
@@ -94,8 +125,8 @@ BENCHMARK(BM_Pairing);
 void BM_Pairing_Reference(benchmark::State& state) {
   TestRng rng(4);
   const auto p = pp();
-  const auto a = p->random_g1(rng);
-  const auto b = p->random_g1(rng);
+  const auto a = oracle::plain(*p, p->random_g1(rng));
+  const auto b = oracle::plain(*p, p->random_g1(rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle::pair_reference(*p, a, b));
   }

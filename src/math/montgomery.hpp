@@ -25,6 +25,8 @@ class Montgomery {
   explicit Montgomery(const BigInt& modulus);
 
   const BigInt& modulus() const { return n_; }
+  /// R mod n: the Montgomery form of 1.
+  const BigInt& one_mont() const { return one_mont_; }
 
   /// a·R mod n (a in [0, n)); from_mont inverts it.
   BigInt to_mont(const BigInt& a) const;

@@ -1,55 +1,9 @@
 #include "pairing/curve.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace p3s::pairing {
-
-using math::mod;
-using math::mod_add;
-using math::mod_inv;
-using math::mod_mul;
-using math::mod_sub;
-
-bool on_curve(const Point& p, const BigInt& q) {
-  if (p.infinity) return true;
-  // y^2 == x^3 + x
-  const BigInt lhs = mod_mul(p.y, p.y, q);
-  const BigInt x2 = mod_mul(p.x, p.x, q);
-  const BigInt rhs = mod_add(mod_mul(x2, p.x, q), p.x, q);
-  return lhs == rhs;
-}
-
-Point point_neg(const Point& p, const BigInt& q) {
-  if (p.infinity) return p;
-  return {p.x, mod_sub(BigInt{}, p.y, q), false};
-}
-
-Point point_double(const Point& p, const BigInt& q) {
-  if (p.infinity) return p;
-  if (p.y.is_zero()) return Point::at_infinity();
-  // lambda = (3x^2 + 1) / (2y)   [curve coefficient a = 1]
-  const BigInt x2 = mod_mul(p.x, p.x, q);
-  const BigInt num = mod_add(mod_add(mod_add(x2, x2, q), x2, q), BigInt{1}, q);
-  const BigInt lambda = mod_mul(num, mod_inv(mod_add(p.y, p.y, q), q), q);
-  const BigInt x3 = mod_sub(mod_sub(mod_mul(lambda, lambda, q), p.x, q), p.x, q);
-  const BigInt y3 = mod_sub(mod_mul(lambda, mod_sub(p.x, x3, q), q), p.y, q);
-  return {x3, y3, false};
-}
-
-Point point_add(const Point& p1, const Point& p2, const BigInt& q) {
-  if (p1.infinity) return p2;
-  if (p2.infinity) return p1;
-  if (p1.x == p2.x) {
-    if (p1.y == p2.y) return point_double(p1, q);
-    return Point::at_infinity();  // p2 == -p1
-  }
-  const BigInt lambda = mod_mul(mod_sub(p2.y, p1.y, q),
-                                mod_inv(mod_sub(p2.x, p1.x, q), q), q);
-  const BigInt x3 =
-      mod_sub(mod_sub(mod_mul(lambda, lambda, q), p1.x, q), p2.x, q);
-  const BigInt y3 = mod_sub(mod_mul(lambda, mod_sub(p1.x, x3, q), q), p1.y, q);
-  return {x3, y3, false};
-}
 
 std::vector<std::int8_t> wnaf4(const BigInt& k) {
   if (k.is_negative()) throw std::invalid_argument("wnaf4: negative scalar");
@@ -100,6 +54,13 @@ namespace {
 using fqm::Fe;
 using math::Montgomery;
 
+void check_width(const Montgomery& mq, const char* what) {
+  if (!mq.fits_fixed()) {
+    throw std::invalid_argument(std::string(what) +
+                                ": modulus wider than 512 bits");
+  }
+}
+
 // Jacobian coordinates (X, Y, Z): x = X/Z², y = Y/Z³, no inversion per
 // group operation. Coordinates are Montgomery-form fixed-width limbs; z == 0
 // is the identity. All functions here assume mq.fits_fixed().
@@ -107,21 +68,18 @@ struct JacM {
   Fe x, y, z;
 };
 
-struct AffM {
-  Fe x, y;
-  bool inf = true;
-};
-
-bool jacm_is_inf(const Montgomery& m, const JacM& p) {
-  return fqm::fe_is_zero(p.z, m.limb_count());
+JacM jacm_from(const Montgomery& m, const Point& a) {
+  return {a.x, a.y, fqm::fe_one(m)};
 }
+
+bool jacm_is_inf(const JacM& p) { return p.z.is_zero(); }
 
 JacM jacm_infinity() { return JacM{}; }
 
 // General doubling for y² = x³ + a·x with a = 1:
 //   M = 3X² + a·Z⁴, S = 4XY², X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ.
 JacM jacm_double(const Montgomery& m, const JacM& p) {
-  if (jacm_is_inf(m, p) || fqm::fe_is_zero(p.y, m.limb_count())) {
+  if (jacm_is_inf(p) || p.y.is_zero()) {
     return jacm_infinity();
   }
   Fe y2, z2, x2, z4, mm, s, xp, y4, yp, zp, t;
@@ -152,9 +110,9 @@ JacM jacm_double(const Montgomery& m, const JacM& p) {
 
 // Mixed addition p + a with a affine (adding the identity is a no-op on
 // either side).
-JacM jacm_add_affine(const Montgomery& m, const JacM& p, const AffM& a) {
-  if (a.inf) return p;
-  if (jacm_is_inf(m, p)) return {a.x, a.y, fqm::fe_from(m, BigInt{1})};
+JacM jacm_add_affine(const Montgomery& m, const JacM& p, const Point& a) {
+  if (a.infinity) return p;
+  if (jacm_is_inf(p)) return jacm_from(m, a);
   Fe z2, u2, s2, h, rr, t;
   fqm::fe_sqr(m, p.z, z2);
   fqm::fe_mul(m, a.x, z2, u2);
@@ -162,9 +120,8 @@ JacM jacm_add_affine(const Montgomery& m, const JacM& p, const AffM& a) {
   fqm::fe_mul(m, a.y, t, s2);
   fqm::fe_sub(m, u2, p.x, h);
   fqm::fe_sub(m, s2, p.y, rr);
-  const std::size_t k = m.limb_count();
-  if (fqm::fe_is_zero(h, k)) {
-    if (fqm::fe_is_zero(rr, k)) return jacm_double(m, p);
+  if (h.is_zero()) {
+    if (rr.is_zero()) return jacm_double(m, p);
     return jacm_infinity();  // a == -p
   }
   Fe h2, h3, uh2, xp, yp, zp;
@@ -183,13 +140,8 @@ JacM jacm_add_affine(const Montgomery& m, const JacM& p, const AffM& a) {
   return {xp, yp, zp};
 }
 
-AffM affm_neg(const Montgomery& m, const AffM& a) {
-  if (a.inf) return a;
-  return {a.x, fqm::fe_neg(m, a.y), false};
-}
-
 Point jacm_to_point(const Montgomery& m, const JacM& p) {
-  if (jacm_is_inf(m, p)) return Point::at_infinity();
+  if (jacm_is_inf(p)) return Point::at_infinity();
   // One (Fermat, in-domain) inversion per scalar multiplication.
   Fe zinv, zinv2, zinv3, xa, ya;
   zinv = fqm::fe_inv(m, p.z);
@@ -197,21 +149,20 @@ Point jacm_to_point(const Montgomery& m, const JacM& p) {
   fqm::fe_mul(m, zinv2, zinv, zinv3);
   fqm::fe_mul(m, p.x, zinv2, xa);
   fqm::fe_mul(m, p.y, zinv3, ya);
-  return {fqm::fe_to(m, xa), fqm::fe_to(m, ya), false};
+  return {xa, ya, false};
 }
 
 // Normalize a batch of Jacobian points to affine with a single field
-// inversion (Montgomery's trick); identity entries come back as inf.
-std::vector<AffM> jacm_batch_normalize(const Montgomery& m,
-                                       const std::vector<JacM>& pts) {
+// inversion (Montgomery's trick); identity entries come back as the identity.
+std::vector<Point> jacm_batch_normalize(const Montgomery& m,
+                                        const std::vector<JacM>& pts) {
   const std::size_t n = pts.size();
-  const Fe one = fqm::fe_from(m, BigInt{1});
-  std::vector<AffM> out(n);
+  std::vector<Point> out(n);
   // prefix[i] = product of all non-identity z's among pts[0..i-1].
   std::vector<Fe> prefix(n + 1);
-  prefix[0] = one;
+  prefix[0] = fqm::fe_one(m);
   for (std::size_t i = 0; i < n; ++i) {
-    if (jacm_is_inf(m, pts[i])) {
+    if (jacm_is_inf(pts[i])) {
       prefix[i + 1] = prefix[i];
     } else {
       fqm::fe_mul(m, prefix[i], pts[i].z, prefix[i + 1]);
@@ -219,7 +170,7 @@ std::vector<AffM> jacm_batch_normalize(const Montgomery& m,
   }
   Fe inv = fqm::fe_inv(m, prefix[n]);
   for (std::size_t i = n; i-- > 0;) {
-    if (jacm_is_inf(m, pts[i])) continue;
+    if (jacm_is_inf(pts[i])) continue;
     Fe zinv, zinv2, zinv3, t;
     fqm::fe_mul(m, inv, prefix[i], zinv);  // 1/z_i
     fqm::fe_mul(m, inv, pts[i].z, t);      // drop z_i from the running inverse
@@ -228,36 +179,49 @@ std::vector<AffM> jacm_batch_normalize(const Montgomery& m,
     fqm::fe_mul(m, zinv2, zinv, zinv3);
     fqm::fe_mul(m, pts[i].x, zinv2, out[i].x);
     fqm::fe_mul(m, pts[i].y, zinv3, out[i].y);
-    out[i].inf = false;
+    out[i].infinity = false;
   }
   return out;
 }
 }  // namespace
 
+bool on_curve(const math::Montgomery& mq, const Point& p) {
+  check_width(mq, "on_curve");
+  if (p.infinity) return true;
+  Fe lhs, rhs;
+  fqm::fe_sqr(mq, p.y, lhs);
+  fqm::fe_sqr(mq, p.x, rhs);
+  fqm::fe_mul(mq, rhs, p.x, rhs);
+  fqm::fe_add(mq, rhs, p.x, rhs);
+  return lhs == rhs;
+}
+
+Point curve_add(const math::Montgomery& mq, const Point& a, const Point& b) {
+  check_width(mq, "curve_add");
+  if (a.infinity) return b;
+  return jacm_to_point(mq, jacm_add_affine(mq, jacm_from(mq, a), b));
+}
+
 Point point_mul_mont(const Point& p, const BigInt& k,
                      const math::Montgomery& mq) {
   if (k.is_negative()) throw std::invalid_argument("point_mul: negative scalar");
-  if (!mq.fits_fixed()) {
-    throw std::invalid_argument("point_mul_mont: modulus wider than 512 bits");
-  }
+  check_width(mq, "point_mul_mont");
   if (p.infinity || k.is_zero()) return Point::at_infinity();
 
   // Odd-multiple table {1, 3, ..., 15}·P: chain mixed additions of an
   // affine 2P, then normalize the chain with one shared inversion.
-  const AffM pa{fqm::fe_from(mq, p.x), fqm::fe_from(mq, p.y), false};
-  const JacM p2j =
-      jacm_double(mq, JacM{pa.x, pa.y, fqm::fe_from(mq, BigInt{1})});
-  if (jacm_is_inf(mq, p2j)) {
+  std::vector<JacM> chain(8);
+  chain[0] = jacm_from(mq, p);
+  const JacM p2j = jacm_double(mq, chain[0]);
+  if (jacm_is_inf(p2j)) {
     // 2P = identity (P has order <= 2): k·P depends only on k mod 2.
     return k.bit(0) ? p : Point::at_infinity();
   }
-  std::vector<JacM> chain(8);
-  chain[0] = {pa.x, pa.y, fqm::fe_from(mq, BigInt{1})};
-  const AffM p2 = jacm_batch_normalize(mq, {p2j})[0];
+  const Point p2 = jacm_batch_normalize(mq, {p2j})[0];
   for (std::size_t i = 1; i < 8; ++i) {
     chain[i] = jacm_add_affine(mq, chain[i - 1], p2);
   }
-  const std::vector<AffM> table = jacm_batch_normalize(mq, chain);
+  const std::vector<Point> table = jacm_batch_normalize(mq, chain);
 
   const std::vector<std::int8_t> digits = wnaf4(k);
   JacM acc = jacm_infinity();
@@ -267,8 +231,8 @@ Point point_mul_mont(const Point& p, const BigInt& k,
     if (d > 0) {
       acc = jacm_add_affine(mq, acc, table[static_cast<std::size_t>(d) / 2]);
     } else if (d < 0) {
-      acc = jacm_add_affine(
-          mq, acc, affm_neg(mq, table[static_cast<std::size_t>(-d) / 2]));
+      const Point& t = table[static_cast<std::size_t>(-d) / 2];
+      acc = jacm_add_affine(mq, acc, {t.x, fqm::fe_neg(mq, t.y), t.infinity});
     }
   }
   return jacm_to_point(mq, acc);
@@ -277,32 +241,30 @@ Point point_mul_mont(const Point& p, const BigInt& k,
 FixedBaseTable::FixedBaseTable(const math::Montgomery& mq, const Point& base,
                                std::size_t scalar_bits)
     : mq_(mq), base_(base), scalar_bits_(scalar_bits) {
-  if (!mq.fits_fixed()) {
-    throw std::invalid_argument("FixedBaseTable: modulus wider than 512 bits");
-  }
+  check_width(mq, "FixedBaseTable");
   if (base.infinity || scalar_bits == 0) return;
   windows_ = (scalar_bits + kWindow - 1) / kWindow;
   constexpr std::size_t kPerWindow = (1u << kWindow) - 1;  // 15
 
   xs_.reserve(windows_ * kPerWindow);
   ys_.reserve(windows_ * kPerWindow);
-  AffM cur{fqm::fe_from(mq, base.x), fqm::fe_from(mq, base.y), false};
+  Point cur = base;
   for (std::size_t w = 0; w < windows_; ++w) {
     // d·cur for d = 1..15, chained mixed additions; then 16·cur = 2·(8·cur)
     // becomes the next window's base.
     std::vector<JacM> window(kPerWindow);
-    window[0] = {cur.x, cur.y, fqm::fe_from(mq, BigInt{1})};
+    window[0] = jacm_from(mq, cur);
     for (std::size_t d = 1; d < kPerWindow; ++d) {
       window[d] = jacm_add_affine(mq, window[d - 1], cur);
     }
     const JacM next = jacm_double(mq, window[7]);
     window.push_back(next);
-    const std::vector<AffM> norm = jacm_batch_normalize(mq, window);
+    const std::vector<Point> norm = jacm_batch_normalize(mq, window);
     // An identity entry means the base has tiny order — not a case the
     // system's order-r bases hit; fall back to the generic path.
     const bool next_needed = w + 1 < windows_;
-    bool degenerate = next_needed && norm[kPerWindow].inf;
-    for (std::size_t d = 0; d < kPerWindow; ++d) degenerate |= norm[d].inf;
+    bool degenerate = next_needed && norm[kPerWindow].infinity;
+    for (std::size_t d = 0; d < kPerWindow; ++d) degenerate |= norm[d].infinity;
     if (degenerate) {
       xs_.clear();
       ys_.clear();
@@ -332,7 +294,7 @@ Point FixedBaseTable::mul(const BigInt& k) const {
     }
     if (nib == 0) continue;
     const std::size_t idx = w * kPerWindow + (nib - 1);
-    acc = jacm_add_affine(mq_, acc, AffM{xs_[idx], ys_[idx], false});
+    acc = jacm_add_affine(mq_, acc, Point{xs_[idx], ys_[idx], false});
   }
   return jacm_to_point(mq_, acc);
 }

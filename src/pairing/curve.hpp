@@ -1,13 +1,14 @@
 // The supersingular curve E: y² = x³ + x over F_q (q ≡ 3 mod 4), the group
 // behind PBC's "Type A" pairing that the paper's jPBC/cpabe stacks use.
 // #E(F_q) = q + 1; the pairing group is the order-r subgroup with q + 1 = h·r.
+// Points hold Montgomery-form fixed-limb coordinates (fq_mont.hpp); the
+// group law runs on Jacobian coordinates with one normalization per result.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "math/bigint.hpp"
-#include "math/modular.hpp"
 #include "math/montgomery.hpp"
 #include "pairing/fq_mont.hpp"
 
@@ -15,22 +16,24 @@ namespace p3s::pairing {
 
 using math::BigInt;
 
-/// Affine point; (infinity=true) is the identity.
+/// Affine point with Montgomery-form coordinates; (infinity=true, x = y = 0)
+/// is the identity.
 struct Point {
-  BigInt x;
-  BigInt y;
+  fqm::Fe x;
+  fqm::Fe y;
   bool infinity = true;
 
   static Point at_infinity() { return Point{}; }
   bool operator==(const Point&) const = default;
 };
 
-/// True iff p is the identity or satisfies the curve equation mod q.
-bool on_curve(const Point& p, const BigInt& q);
+/// True iff p is the identity or satisfies y² = x³ + x. Throws
+/// std::invalid_argument unless mq.fits_fixed().
+bool on_curve(const math::Montgomery& mq, const Point& p);
 
-Point point_neg(const Point& p, const BigInt& q);
-Point point_add(const Point& p1, const Point& p2, const BigInt& q);
-Point point_double(const Point& p, const BigInt& q);
+/// a + b by one mixed Jacobian addition (or doubling when a == b) and one
+/// normalization. Throws std::invalid_argument unless mq.fits_fixed().
+Point curve_add(const math::Montgomery& mq, const Point& a, const Point& b);
 
 /// k·p with k >= 0: 4-bit wNAF over Jacobian coordinates with CIOS field
 /// multiplication (zero heap traffic per group operation). Throws

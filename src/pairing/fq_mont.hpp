@@ -1,9 +1,11 @@
-// Fixed-width Montgomery-domain elements of F_q and F_q² — the
-// representation the pairing fast path runs on. A value is a flat array of
-// math::Montgomery::kMaxFixedLimbs 64-bit limbs (only the context's
-// limb_count() low limbs are significant), so the Miller loop, wNAF scalar
-// multiplication, and GT exponentiation perform zero heap allocations;
-// BigInt appears only at the boundaries. Only valid when
+// Fixed-width Montgomery-domain elements of F_q and F_q² — the one
+// representation of G1 coordinates (pairing::Point) and GT values
+// (pairing::Fq2). A value is a flat array of math::Montgomery::kMaxFixedLimbs
+// 64-bit limbs (the context's limb_count() low limbs hold it, the upper ones
+// are zero), so the Miller loop, wNAF scalar multiplication, GT
+// exponentiation and inversion perform zero heap allocations. BigInt enters
+// only through fe_from/fe_to, which the Pairing calls at its parameter,
+// serialization and hash-to-curve boundaries. Only valid when
 // Montgomery::fits_fixed() (q ≤ 512 bits): the Pairing constructor and the
 // public entry points that take a raw Montgomery context reject wider
 // moduli, so there is no other path.
@@ -12,10 +14,12 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "math/montgomery.hpp"
 
-namespace p3s::pairing::fqm {
+namespace p3s::pairing {
+namespace fqm {
 
 using math::BigInt;
 using math::Montgomery;
@@ -25,19 +29,29 @@ inline constexpr std::size_t kMaxLimbs = Montgomery::kMaxFixedLimbs;
 /// Residue mod q in Montgomery form (or plain form where noted).
 struct Fe {
   std::array<std::uint64_t, kMaxLimbs> w{};
-};
 
-/// Element a + b·i of F_q², both coordinates in Montgomery form.
-struct Fe2 {
-  Fe a, b;
-};
-
-inline bool fe_is_zero(const Fe& x, std::size_t k) {
-  for (std::size_t i = 0; i < k; ++i) {
-    if (x.w[i] != 0) return false;
+  /// Checks every limb; the limbs above limb_count() are zero by invariant.
+  bool is_zero() const {
+    for (const std::uint64_t v : w) {
+      if (v != 0) return false;
+    }
+    return true;
   }
-  return true;
-}
+  bool operator==(const Fe&) const = default;
+};
+
+}  // namespace fqm
+
+/// Element a + b·i of F_q² = F_q[i]/(i² + 1), both coordinates in
+/// Montgomery form; i² + 1 is irreducible because q ≡ 3 (mod 4). GT values
+/// are Fq2s.
+struct Fq2 {
+  fqm::Fe a, b;
+
+  bool operator==(const Fq2&) const = default;
+};
+
+namespace fqm {
 
 /// Pack a BigInt already reduced into [0, q) without domain conversion.
 inline Fe fe_pack(const BigInt& v) {
@@ -47,11 +61,6 @@ inline Fe fe_pack(const BigInt& v) {
   return out;
 }
 
-inline BigInt fe_unpack(const Fe& x, std::size_t k) {
-  return BigInt::from_limbs_le(
-      std::vector<std::uint64_t>(x.w.begin(), x.w.begin() + k));
-}
-
 /// plain BigInt in [0, q) -> Montgomery-form Fe.
 inline Fe fe_from(const Montgomery& m, const BigInt& plain) {
   return fe_pack(m.to_mont(plain));
@@ -59,8 +68,12 @@ inline Fe fe_from(const Montgomery& m, const BigInt& plain) {
 
 /// Montgomery-form Fe -> plain BigInt.
 inline BigInt fe_to(const Montgomery& m, const Fe& x) {
-  return m.from_mont(fe_unpack(x, m.limb_count()));
+  return m.from_mont(BigInt::from_limbs_le(std::vector<std::uint64_t>(
+      x.w.begin(), x.w.begin() + m.limb_count())));
 }
+
+/// 1 in Montgomery form (the context's cached R mod q; no allocation).
+inline Fe fe_one(const Montgomery& m) { return fe_pack(m.one_mont()); }
 
 inline void fe_add(const Montgomery& m, const Fe& x, const Fe& y, Fe& out) {
   m.add_limbs(x.w.data(), y.w.data(), out.w.data());
@@ -88,27 +101,41 @@ inline Fe fe_neg(const Montgomery& m, const Fe& x) {
   return out;
 }
 
-/// x⁻¹ = x^(q−2) (Fermat; q must be prime). ~1.3·log₂q CIOS multiplications
-/// with no heap traffic — several times cheaper than the BigInt
-/// extended-gcd inverse for the field sizes here. Throws std::domain_error
-/// on zero.
+/// x⁻¹ = x^(q−2) (Fermat; q must be prime), walking the exponent in 4-bit
+/// fixed windows: 14 table multiplications, then 4 squarings and at most
+/// one multiplication per window. The operation sequence depends only on
+/// the public q, never on x. Throws std::domain_error on zero.
 inline Fe fe_inv(const Montgomery& m, const Fe& x) {
-  if (fe_is_zero(x, m.limb_count())) throw std::domain_error("fe_inv: zero");
-  const BigInt e = m.modulus() - BigInt{2};
-  Fe acc = fe_from(m, BigInt{1});
-  for (std::size_t bit = e.bit_length(); bit-- > 0;) {
-    fe_sqr(m, acc, acc);
-    if (e.bit(bit)) fe_mul(m, acc, x, acc);
+  if (x.is_zero()) throw std::domain_error("fe_inv: zero");
+  // q − 2 in plain limbs, formed in place (q is odd and greater than 2).
+  Fe e = fe_pack(m.modulus());
+  for (std::uint64_t i = 0, borrow = 2; borrow != 0; ++i) {
+    const std::uint64_t v = e.w[i];
+    e.w[i] = v - borrow;
+    borrow = v < borrow ? 1 : 0;
+  }
+  const auto nibble = [&e](std::size_t win) {
+    return static_cast<unsigned>((e.w[win / 16] >> (win % 16 * 4)) & 15);
+  };
+  std::array<Fe, 16> table;
+  table[0] = fe_one(m);
+  table[1] = x;
+  for (std::size_t i = 2; i < 16; ++i) fe_mul(m, table[i - 1], x, table[i]);
+  std::size_t win = (m.modulus().bit_length() + 3) / 4 - 1;
+  Fe acc = table[nibble(win)];
+  while (win-- > 0) {
+    for (int i = 0; i < 4; ++i) fe_sqr(m, acc, acc);
+    const unsigned nib = nibble(win);
+    if (nib != 0) fe_mul(m, acc, table[nib], acc);
   }
   return acc;
 }
 
-inline bool fe2_is_zero(const Fe2& x, std::size_t k) {
-  return fe_is_zero(x.a, k) && fe_is_zero(x.b, k);
-}
+inline Fq2 fe2_one(const Montgomery& m) { return {fe_one(m), Fe{}}; }
 
 /// Karatsuba-style product: 3 CIOS multiplications. out must not alias x/y.
-inline void fe2_mul(const Montgomery& m, const Fe2& x, const Fe2& y, Fe2& out) {
+inline void fe2_mul(const Montgomery& m, const Fq2& x, const Fq2& y,
+                    Fq2& out) {
   Fe t0, t1, sx, sy, t2;
   fe_mul(m, x.a, y.a, t0);
   fe_mul(m, x.b, y.b, t1);
@@ -121,7 +148,7 @@ inline void fe2_mul(const Montgomery& m, const Fe2& x, const Fe2& y, Fe2& out) {
 }
 
 /// (a + bi)² = (a+b)(a−b) + 2ab·i: 2 CIOS multiplications. out may alias x.
-inline void fe2_sqr(const Montgomery& m, const Fe2& x, Fe2& out) {
+inline void fe2_sqr(const Montgomery& m, const Fq2& x, Fq2& out) {
   Fe s, d, t0, t1;
   fe_add(m, x.a, x.b, s);
   fe_sub(m, x.a, x.b, d);
@@ -131,24 +158,39 @@ inline void fe2_sqr(const Montgomery& m, const Fe2& x, Fe2& out) {
   fe_dbl(m, t1, out.b);
 }
 
-inline Fe2 fe2_conj(const Montgomery& m, const Fe2& x) {
+/// Conjugate a − b·i; equals the q-power Frobenius for q ≡ 3 (mod 4).
+inline Fq2 fe2_conj(const Montgomery& m, const Fq2& x) {
   return {x.a, fe_neg(m, x.b)};
 }
 
-inline Fe2 fe2_one(const Montgomery& m) {
-  return {fe_from(m, BigInt{1}), Fe{}};
+/// (a + bi)⁻¹ = (a − bi)/(a² + b²): one fe_inv. The norm vanishes only at
+/// zero (−1 is a non-residue), so zero throws std::domain_error.
+inline Fq2 fe2_inv(const Montgomery& m, const Fq2& x) {
+  Fe na, nb, norm;
+  fe_sqr(m, x.a, na);
+  fe_sqr(m, x.b, nb);
+  fe_add(m, na, nb, norm);
+  const Fe norm_inv = fe_inv(m, norm);
+  Fq2 out;
+  fe_mul(m, x.a, norm_inv, out.a);
+  fe_mul(m, fe_neg(m, x.b), norm_inv, out.b);
+  return out;
 }
 
-/// x^e (e >= 0) by 4-bit fixed-window exponentiation.
-inline Fe2 fe2_pow(const Montgomery& m, const Fe2& x, const BigInt& e) {
-  const Fe2 one = fe2_one(m);
+/// x^e by 4-bit fixed-window exponentiation. Throws std::invalid_argument
+/// for a negative e.
+inline Fq2 fe2_pow(const Montgomery& m, const Fq2& x, const BigInt& e) {
+  if (e.is_negative()) {
+    throw std::invalid_argument("fe2_pow: negative exponent");
+  }
+  const Fq2 one = fe2_one(m);
   const std::size_t bits = e.bit_length();
   if (bits == 0) return one;
-  std::array<Fe2, 16> table;
+  std::array<Fq2, 16> table;
   table[0] = one;
   table[1] = x;
   for (int i = 2; i < 16; ++i) fe2_mul(m, table[i - 1], x, table[i]);
-  Fe2 acc = one;
+  Fq2 acc = one;
   const std::size_t windows = (bits + 3) / 4;
   for (std::size_t w = windows; w-- > 0;) {
     for (int i = 0; i < 4; ++i) fe2_sqr(m, acc, acc);
@@ -158,7 +200,7 @@ inline Fe2 fe2_pow(const Montgomery& m, const Fe2& x, const BigInt& e) {
             (e.bit(w * 4 + static_cast<std::size_t>(i)) ? 1u : 0u);
     }
     if (nib != 0) {
-      Fe2 next;
+      Fq2 next;
       fe2_mul(m, acc, table[nib], next);
       acc = next;
     }
@@ -166,4 +208,5 @@ inline Fe2 fe2_pow(const Montgomery& m, const Fe2& x, const BigInt& e) {
   return acc;
 }
 
-}  // namespace p3s::pairing::fqm
+}  // namespace fqm
+}  // namespace p3s::pairing

@@ -6,6 +6,7 @@
 #include "common/serial.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "math/modular.hpp"
 #include "math/prime.hpp"
 #include "pairing/fq_mont.hpp"
 
@@ -19,13 +20,28 @@ using math::mod_sqrt_3mod4;
 using math::mod_sub;
 using math::random_prime;
 
+namespace {
+// Plain affine coordinates as a Point, after checking they lie in [0, q)
+// and on the curve; std::invalid_argument(what) otherwise. mq.fits_fixed().
+Point to_point(const math::Montgomery& mq, const BigInt& x, const BigInt& y,
+               const char* what) {
+  const BigInt& q = mq.modulus();
+  if (x.is_negative() || y.is_negative() || x >= q || y >= q) {
+    throw std::invalid_argument(what);
+  }
+  const Point p{fqm::fe_from(mq, x), fqm::fe_from(mq, y), false};
+  if (!on_curve(mq, p)) throw std::invalid_argument(what);
+  return p;
+}
+}  // namespace
+
 Bytes Params::serialize() const {
   Writer w;
   w.bytes(q.to_bytes());
   w.bytes(r.to_bytes());
   w.bytes(h.to_bytes());
-  w.bytes(g.x.to_bytes());
-  w.bytes(g.y.to_bytes());
+  w.bytes(gx.to_bytes());
+  w.bytes(gy.to_bytes());
   return w.take();
 }
 
@@ -35,11 +51,14 @@ Params Params::deserialize(BytesView data) {
   p.q = BigInt::from_bytes(rd.bytes());
   p.r = BigInt::from_bytes(rd.bytes());
   p.h = BigInt::from_bytes(rd.bytes());
-  p.g.x = BigInt::from_bytes(rd.bytes());
-  p.g.y = BigInt::from_bytes(rd.bytes());
-  p.g.infinity = false;
+  p.gx = BigInt::from_bytes(rd.bytes());
+  p.gy = BigInt::from_bytes(rd.bytes());
   rd.expect_done();
-  if (!on_curve(p.g, p.q)) throw std::invalid_argument("Params: generator off curve");
+  const math::Montgomery mq(p.q);
+  if (!mq.fits_fixed()) {
+    throw std::invalid_argument("Params: q wider than 512 bits");
+  }
+  to_point(mq, p.gx, p.gy, "Params: generator off curve");
   return p;
 }
 
@@ -100,10 +119,11 @@ Params generate_params(Rng& rng, const BigInt& r, std::size_t q_bits) {
         mod_add(mod_mul(mod_mul(x, x, p.q), x, p.q), x, p.q);  // x³ + x
     if (!math::is_quadratic_residue(t, p.q)) continue;
     const BigInt y = mod_sqrt_3mod4(t, p.q);
-    const Point cand{x, y, false};
+    const Point cand{fqm::fe_from(mq, x), fqm::fe_from(mq, y), false};
     const Point g = point_mul_mont(cand, p.h, mq);
     if (g.infinity) continue;
-    p.g = g;
+    p.gx = fqm::fe_to(mq, g.x);
+    p.gy = fqm::fe_to(mq, g.y);
     return p;
   }
 }
@@ -113,9 +133,7 @@ Pairing::Pairing(Params params)
   if (!montq_.fits_fixed()) {
     throw std::invalid_argument("Pairing: q wider than 512 bits");
   }
-  if (!on_curve(params_.g, params_.q) || params_.g.infinity) {
-    throw std::invalid_argument("Pairing: invalid generator");
-  }
+  g_ = to_point(montq_, params_.gx, params_.gy, "Pairing: invalid generator");
   if (params_.q != params_.h * params_.r - BigInt{1}) {
     throw std::invalid_argument("Pairing: q != h*r - 1");
   }
@@ -135,14 +153,14 @@ Pairing::Pairing(Params params)
   gt_fixed_base_probe_ = probe::intern("p3s.crypto.gt_fixed_base_total");
   hash_to_g1_probe_ = probe::intern("p3s.crypto.hash_to_g1_seconds");
 
-  e_gg_ = pair(params_.g, params_.g);
-  if (fq2_is_one(e_gg_)) {
+  e_gg_ = pair(g_, g_);
+  if (e_gg_ == gt_one()) {
     throw std::invalid_argument("Pairing: degenerate generator pairing");
   }
   // Fixed-base tables for the two bases every scheme reuses; scalars are
   // always reduced mod r first, so r's width bounds the windows.
   const std::size_t r_bits = params_.r.bit_length();
-  g_table_ = std::make_unique<FixedBaseTable>(montq_, params_.g, r_bits);
+  g_table_ = std::make_unique<FixedBaseTable>(montq_, g_, r_bits);
   egg_table_ = std::make_unique<GtFixedBase>(montq_, e_gg_, r_bits);
 }
 
@@ -195,7 +213,8 @@ Params load_baked(const BakedParams& b) {
   p.q = BigInt::from_hex(b.q);
   p.r = BigInt::from_hex(b.r);
   p.h = BigInt::from_hex(b.h);
-  p.g = Point{BigInt::from_hex(b.gx), BigInt::from_hex(b.gy), false};
+  p.gx = BigInt::from_hex(b.gx);
+  p.gy = BigInt::from_hex(b.gy);
   // Validate the constants rather than trusting the source text. Structure
   // (q = h·r − 1, q ≡ 3 mod 4, g on curve, non-degenerate e(g,g)) is
   // re-checked by the Pairing constructor; primality and the generator's
@@ -204,7 +223,10 @@ Params load_baked(const BakedParams& b) {
   if (!is_probable_prime(p.q, rng, 8) || !is_probable_prime(p.r, rng, 8)) {
     throw std::logic_error("baked pairing params: composite q or r");
   }
-  if (!point_mul_mont(p.g, p.r, math::Montgomery(p.q)).infinity) {
+  const math::Montgomery mq(p.q);
+  const Point g =
+      to_point(mq, p.gx, p.gy, "baked pairing params: generator off curve");
+  if (!point_mul_mont(g, p.r, mq).infinity) {
     throw std::logic_error("baked pairing params: generator order != r");
   }
   return p;
@@ -236,7 +258,7 @@ BigInt Pairing::random_nonzero_scalar(Rng& rng) const {
 Point Pairing::mul(const Point& p, const BigInt& k) const {
   probe::ScopedTimer timer(g1_mul_probe_);
   const BigInt kr = mod(k, params_.r);
-  if (g_table_ && !p.infinity && p == params_.g) {
+  if (g_table_ && !p.infinity && p == g_) {
     probe::add(g1_fixed_base_probe_);
     return g_table_->mul(kr);
   }
@@ -244,13 +266,16 @@ Point Pairing::mul(const Point& p, const BigInt& k) const {
 }
 
 Point Pairing::add(const Point& a, const Point& b) const {
-  return point_add(a, b, params_.q);
+  return curve_add(montq_, a, b);
 }
 
-Point Pairing::neg(const Point& p) const { return point_neg(p, params_.q); }
+Point Pairing::neg(const Point& p) const {
+  // The identity's coordinates are zero, so it maps to itself.
+  return {p.x, fqm::fe_neg(montq_, p.y), p.infinity};
+}
 
 Point Pairing::random_g1(Rng& rng) const {
-  return mul(params_.g, random_nonzero_scalar(rng));
+  return mul(g_, random_nonzero_scalar(rng));
 }
 
 Point Pairing::hash_to_g1(BytesView data) const {
@@ -274,7 +299,8 @@ Point Pairing::hash_to_g1(BytesView data) const {
     winfo.u8(0xff);
     const Bytes sign = crypto::hkdf_expand(prk, winfo.data(), 1);
     if ((sign[0] & 1) != 0) y = mod_sub(BigInt{}, y, params_.q);
-    const Point g = point_mul_mont(Point{x, y, false}, params_.h, montq_);
+    const Point pt{fqm::fe_from(montq_, x), fqm::fe_from(montq_, y), false};
+    const Point g = point_mul_mont(pt, params_.h, montq_);
     if (!g.infinity) return g;
   }
 }
@@ -286,8 +312,8 @@ Bytes Pairing::serialize_g1(const Point& p) const {
     w.raw(Bytes(2 * q_bytes_, 0));
   } else {
     w.u8(1);
-    w.raw(p.x.to_bytes(q_bytes_));
-    w.raw(p.y.to_bytes(q_bytes_));
+    w.raw(fqm::fe_to(montq_, p.x).to_bytes(q_bytes_));
+    w.raw(fqm::fe_to(montq_, p.y).to_bytes(q_bytes_));
   }
   return w.take();
 }
@@ -299,16 +325,12 @@ Point Pairing::deserialize_g1(BytesView data) const {
   const Bytes yb = r.raw(q_bytes_);
   r.expect_done();
   if (flag == 0) return Point::at_infinity();
-  Point p{BigInt::from_bytes(xb), BigInt::from_bytes(yb), false};
-  if (p.x >= params_.q || p.y >= params_.q || !on_curve(p, params_.q)) {
-    throw std::invalid_argument("deserialize_g1: point not on curve");
-  }
-  return p;
+  return to_point(montq_, BigInt::from_bytes(xb), BigInt::from_bytes(yb),
+                  "deserialize_g1: point not on curve");
 }
 
 namespace {
 using fqm::Fe;
-using fqm::Fe2;
 
 // The V-chain of one Miller loop f_{r,P}: affine P and the running V in
 // Jacobian coordinates (vz == 0 → V = O), all in Montgomery form. V stays
@@ -321,67 +343,62 @@ struct MillerChain {
 };
 
 MillerChain miller_chain(const math::Montgomery& mq, const Point& p) {
-  MillerChain c;
-  c.px = c.vx = fqm::fe_from(mq, p.x);
-  c.py = c.vy = fqm::fe_from(mq, p.y);
-  c.vz = fqm::fe_from(mq, BigInt{1});
-  return c;
+  return {p.x, p.y, p.x, p.y, fqm::fe_one(mq)};
 }
 
-// One step of the chain (curve coefficient a = 1). Writes the step's line
-// into `line`, then advances V: the tangent at V and V ← 2V when `add` is
-// false; the chord through V and P and V ← V + P (mixed addition) when it
-// is true, including the V == ±P corners.
-void miller_step(const math::Montgomery& mq, MillerChain& c, bool add,
-                 MillerLine& line) {
-  const std::size_t k = mq.limb_count();
+// The doubling step of the chain (curve coefficient a = 1): writes the
+// tangent at V into `line`, then V ← 2V.
+void miller_double(const math::Montgomery& mq, MillerChain& c,
+                   MillerLine& line) {
   line.skip = false;
-  if (!add) {
-    if (fqm::fe_is_zero(c.vz, k)) {
-      line.skip = true;  // V = O stays O
-      return;
-    }
-    // Tangent at V scaled by 2YZ³: A = M·Z², B = M·X − 2Y², C = 2YZ³.
-    Fe x2, z2, z4, m, y2, two_y2, yz, s, xp, y4, yp, u;
-    fqm::fe_sqr(mq, c.vx, x2);
-    fqm::fe_sqr(mq, c.vz, z2);
-    fqm::fe_sqr(mq, z2, z4);
-    fqm::fe_add(mq, x2, x2, m);
-    fqm::fe_add(mq, m, x2, m);
-    fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
-    fqm::fe_sqr(mq, c.vy, y2);
-    fqm::fe_add(mq, y2, y2, two_y2);
-    fqm::fe_mul(mq, c.vy, c.vz, yz);
-    fqm::fe_add(mq, yz, yz, line.c);
-    fqm::fe_mul(mq, line.c, z2, line.c);  // 2YZ³
-    fqm::fe_mul(mq, m, z2, line.a);
-    fqm::fe_mul(mq, m, c.vx, line.b);
-    fqm::fe_sub(mq, line.b, two_y2, line.b);
-
-    fqm::fe_mul(mq, c.vx, y2, s);
-    fqm::fe_dbl(mq, s, s);
-    fqm::fe_dbl(mq, s, s);  // S = 4XY²
-    fqm::fe_sqr(mq, m, xp);
-    fqm::fe_add(mq, s, s, u);
-    fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
-    fqm::fe_sqr(mq, y2, y4);
-    fqm::fe_dbl(mq, y4, y4);
-    fqm::fe_dbl(mq, y4, y4);
-    fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
-    fqm::fe_sub(mq, s, xp, u);
-    fqm::fe_mul(mq, m, u, yp);
-    fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
-    c.vx = xp;
-    c.vy = yp;
-    fqm::fe_add(mq, yz, yz, c.vz);  // Z' = 2YZ (0 iff Y was 0 → V = O)
+  if (c.vz.is_zero()) {
+    line.skip = true;  // V = O stays O
     return;
   }
+  // Tangent at V scaled by 2YZ³: A = M·Z², B = M·X − 2Y², C = 2YZ³.
+  Fe x2, z2, z4, m, y2, two_y2, yz, s, xp, y4, yp, u;
+  fqm::fe_sqr(mq, c.vx, x2);
+  fqm::fe_sqr(mq, c.vz, z2);
+  fqm::fe_sqr(mq, z2, z4);
+  fqm::fe_add(mq, x2, x2, m);
+  fqm::fe_add(mq, m, x2, m);
+  fqm::fe_add(mq, m, z4, m);  // M = 3X² + Z⁴
+  fqm::fe_sqr(mq, c.vy, y2);
+  fqm::fe_add(mq, y2, y2, two_y2);
+  fqm::fe_mul(mq, c.vy, c.vz, yz);
+  fqm::fe_add(mq, yz, yz, line.c);
+  fqm::fe_mul(mq, line.c, z2, line.c);  // 2YZ³
+  fqm::fe_mul(mq, m, z2, line.a);
+  fqm::fe_mul(mq, m, c.vx, line.b);
+  fqm::fe_sub(mq, line.b, two_y2, line.b);
 
-  if (fqm::fe_is_zero(c.vz, k)) {
+  fqm::fe_mul(mq, c.vx, y2, s);
+  fqm::fe_dbl(mq, s, s);
+  fqm::fe_dbl(mq, s, s);  // S = 4XY²
+  fqm::fe_sqr(mq, m, xp);
+  fqm::fe_add(mq, s, s, u);
+  fqm::fe_sub(mq, xp, u, xp);  // X' = M² − 2S
+  fqm::fe_sqr(mq, y2, y4);
+  fqm::fe_dbl(mq, y4, y4);
+  fqm::fe_dbl(mq, y4, y4);
+  fqm::fe_dbl(mq, y4, y4);  // 8Y⁴
+  fqm::fe_sub(mq, s, xp, u);
+  fqm::fe_mul(mq, m, u, yp);
+  fqm::fe_sub(mq, yp, y4, yp);  // Y' = M(S − X') − 8Y⁴
+  c.vx = xp;
+  c.vy = yp;
+  fqm::fe_add(mq, yz, yz, c.vz);  // Z' = 2YZ (0 iff Y was 0 → V = O)
+}
+
+// The addition step: writes the chord through V and P into `line`, then
+// V ← V + P (mixed addition), including the V == ±P corners.
+void miller_add(const math::Montgomery& mq, MillerChain& c, MillerLine& line) {
+  line.skip = false;
+  if (c.vz.is_zero()) {
     line.skip = true;  // O + P = P
     c.vx = c.px;
     c.vy = c.py;
-    c.vz = fqm::fe_from(mq, BigInt{1});
+    c.vz = fqm::fe_one(mq);
     return;
   }
   Fe z2, u2, s2, hh, rr, u;
@@ -391,34 +408,14 @@ void miller_step(const math::Montgomery& mq, MillerChain& c, bool add,
   fqm::fe_mul(mq, c.py, s2, s2);
   fqm::fe_sub(mq, u2, c.vx, hh);
   fqm::fe_sub(mq, s2, c.vy, rr);
-  if (fqm::fe_is_zero(hh, k)) {
-    if (!fqm::fe_is_zero(rr, k)) {
-      line.skip = true;  // V == −P: vertical line (eliminated); V + P = O
-      c.vz = Fe{};
+  if (hh.is_zero()) {
+    if (rr.is_zero()) {
+      // V == P: the chord is the tangent at V and V + P = 2V.
+      miller_double(mq, c, line);
       return;
     }
-    // V == P: tangent at the affine point, scaled by its denominator:
-    // A = 3xP² + 1, B = A·xP − 2yP·yP, C = 2yP.
-    const Fe one_m = fqm::fe_from(mq, BigInt{1});
-    Fe x2p;
-    fqm::fe_sqr(mq, c.px, x2p);
-    fqm::fe_add(mq, x2p, x2p, line.a);
-    fqm::fe_add(mq, line.a, x2p, line.a);
-    fqm::fe_add(mq, line.a, one_m, line.a);
-    fqm::fe_add(mq, c.py, c.py, line.c);
-    fqm::fe_mul(mq, line.a, c.px, line.b);
-    fqm::fe_mul(mq, line.c, c.py, u);
-    fqm::fe_sub(mq, line.b, u, line.b);
-    // V ← 2P via the plain-domain path (cold corner case).
-    const Point pa{fqm::fe_to(mq, c.px), fqm::fe_to(mq, c.py), false};
-    const Point dbl = point_double(pa, mq.modulus());
-    if (dbl.infinity) {
-      c.vz = Fe{};
-    } else {
-      c.vx = fqm::fe_from(mq, dbl.x);
-      c.vy = fqm::fe_from(mq, dbl.y);
-      c.vz = one_m;
-    }
+    line.skip = true;  // V == −P: vertical line (eliminated); V + P = O
+    c.vz = Fe{};
     return;
   }
   // Chord through V and P scaled by Z·H: A = R, B = R·xP − yP·Z·H,
@@ -457,27 +454,16 @@ struct MillerTerm {
 
 MillerTerm live_term(const math::Montgomery& mq, const Point& p,
                      const Point& q) {
-  return {fqm::fe_from(mq, q.x), fqm::fe_from(mq, q.y), miller_chain(mq, p)};
+  return {q.x, q.y, miller_chain(mq, p)};
 }
 
 // The shared final exponentiation f^((q²−1)/r) = (conj(f)·f⁻¹)^h since
 // (q²−1)/r = (q−1)·h and f^q = conj(f) in F_q².
-Fq2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
-                           const Fe2& f) {
-  const Fe2 f_conj = fqm::fe2_conj(mq, f);
-  Fe na, nb, norm;
-  fqm::fe_sqr(mq, f.a, na);
-  fqm::fe_sqr(mq, f.b, nb);
-  fqm::fe_add(mq, na, nb, norm);
-  const Fe norm_inv = fqm::fe_inv(mq, norm);
-  Fe2 f_inv;
-  fqm::fe_mul(mq, f.a, norm_inv, f_inv.a);
-  const Fe neg_b = fqm::fe_neg(mq, f.b);
-  fqm::fe_mul(mq, neg_b, norm_inv, f_inv.b);
-  Fe2 tmp;
-  fqm::fe2_mul(mq, f_conj, f_inv, tmp);  // f^(q−1)
-  const Fe2 res = fqm::fe2_pow(mq, tmp, params.h);
-  return Fq2{fqm::fe_to(mq, res.a), fqm::fe_to(mq, res.b)};
+Fq2 final_exponentiation(const math::Montgomery& mq, const Params& params,
+                         const Fq2& f) {
+  Fq2 f_q_minus_1;
+  fqm::fe2_mul(mq, fqm::fe2_conj(mq, f), fqm::fe2_inv(mq, f), f_q_minus_1);
+  return fqm::fe2_pow(mq, f_q_minus_1, params.h);
 }
 
 // The one Miller loop every pairing runs: ∏ f_{r,P_i}(φ(Q_i)) with
@@ -489,15 +475,19 @@ Fq2 final_exponentiation_m(const math::Montgomery& mq, const Params& params,
 // evaluates to exactly the limbs of a live one.
 Fq2 miller_loop(const math::Montgomery& mq, const Params& params,
                 std::vector<MillerTerm>& terms) {
-  Fe2 f = fqm::fe2_one(mq);
-  Fe2 line, tmp;
+  Fq2 f = fqm::fe2_one(mq);
+  Fq2 line, tmp;
   MillerLine live;
   auto eval = [&](MillerTerm& t, bool add) {
     const MillerLine* l = t.stored;
     if (l != nullptr) {
       ++t.stored;
     } else {
-      miller_step(mq, t.chain, add, live);
+      if (add) {
+        miller_add(mq, t.chain, live);
+      } else {
+        miller_double(mq, t.chain, live);
+      }
       l = &live;
     }
     if (l->skip) return;
@@ -514,13 +504,13 @@ Fq2 miller_loop(const math::Montgomery& mq, const Params& params,
     if (!r.bit(i)) continue;
     for (MillerTerm& t : terms) eval(t, true);
   }
-  return final_exponentiation_m(mq, params, f);
+  return final_exponentiation(mq, params, f);
 }
 }  // namespace
 
 Fq2 Pairing::pair(const Point& p, const Point& qpt) const {
   probe::ScopedTimer timer(pair_probe_);
-  if (p.infinity || qpt.infinity) return fq2_one();
+  if (p.infinity || qpt.infinity) return gt_one();
   std::vector<MillerTerm> terms{live_term(montq_, p, qpt)};
   return miller_loop(montq_, params_, terms);
 }
@@ -553,8 +543,8 @@ MillerPrecomp Pairing::miller_precompute(const Point& p) const {
   // evaluating it against a Q.
   MillerChain chain = miller_chain(montq_, p);
   for (std::size_t i = bits - 1; i-- > 0;) {
-    miller_step(montq_, chain, false, pre.slots_.emplace_back());
-    if (r.bit(i)) miller_step(montq_, chain, true, pre.slots_.emplace_back());
+    miller_double(montq_, chain, pre.slots_.emplace_back());
+    if (r.bit(i)) miller_add(montq_, chain, pre.slots_.emplace_back());
   }
   return pre;
 }
@@ -567,8 +557,8 @@ Fq2 Pairing::pair_product_precomp(std::span<const PrecompPairTerm> in) const {
   for (const PrecompPairTerm& t : in) {
     if (t.p->infinity() || t.q.infinity) continue;  // e(O, ·) = e(·, O) = 1
     MillerTerm m;
-    m.qx = fqm::fe_from(montq_, t.q.x);
-    m.qy = fqm::fe_from(montq_, t.q.y);
+    m.qx = t.q.x;
+    m.qy = t.q.y;
     m.stored = t.p->slots_.data();
     terms.push_back(m);
   }
@@ -584,19 +574,19 @@ GtFixedBase::GtFixedBase(const math::Montgomery& mq, const Fq2& base,
   if (exp_bits == 0) return;
   windows_ = (exp_bits + 3) / 4;
   table_.reserve(windows_ * 15);
-  Fe2 cur{fqm::fe_from(mq, base.a), fqm::fe_from(mq, base.b)};
+  Fq2 cur = base;
   for (std::size_t w = 0; w < windows_; ++w) {
-    Fe2 acc = cur;
+    Fq2 acc = cur;
     for (unsigned d = 1; d <= 15; ++d) {
       table_.push_back(acc);
       if (d < 15) {
-        Fe2 next;
+        Fq2 next;
         fqm::fe2_mul(mq, acc, cur, next);
         acc = next;
       }
     }
     // Next window's base: cur^16 = (cur^8)²; cur^8 sits at offset 7.
-    Fe2 c8 = table_[w * 15 + 7];
+    Fq2 c8 = table_[w * 15 + 7];
     fqm::fe2_sqr(mq, c8, c8);
     cur = c8;
   }
@@ -607,10 +597,10 @@ Fq2 GtFixedBase::pow(const BigInt& e) const {
     throw std::invalid_argument("GtFixedBase::pow: negative exponent");
   }
   if (table_.empty() || e.bit_length() > windows_ * 4) {
-    return fq2_pow(base_, e, mq_);
+    return fqm::fe2_pow(mq_, base_, e);
   }
-  Fe2 acc = fqm::fe2_one(mq_);
-  Fe2 tmp;
+  Fq2 acc = fqm::fe2_one(mq_);
+  Fq2 tmp;
   for (std::size_t w = 0; w < windows_; ++w) {
     unsigned nib = 0;
     for (unsigned i = 0; i < 4; ++i) {
@@ -620,11 +610,13 @@ Fq2 GtFixedBase::pow(const BigInt& e) const {
     fqm::fe2_mul(mq_, acc, table_[w * 15 + (nib - 1)], tmp);
     acc = tmp;
   }
-  return {fqm::fe_to(mq_, acc.a), fqm::fe_to(mq_, acc.b)};
+  return acc;
 }
 
 Fq2 Pairing::gt_mul(const Fq2& a, const Fq2& b) const {
-  return fq2_mul(a, b, params_.q);
+  Fq2 out;
+  fqm::fe2_mul(montq_, a, b, out);
+  return out;
 }
 
 Fq2 Pairing::gt_pow(const Fq2& a, const BigInt& e) const {
@@ -634,10 +626,10 @@ Fq2 Pairing::gt_pow(const Fq2& a, const BigInt& e) const {
     probe::add(gt_fixed_base_probe_);
     return egg_table_->pow(er);
   }
-  return fq2_pow(a, er, montq_);
+  return fqm::fe2_pow(montq_, a, er);
 }
 
-Fq2 Pairing::gt_inv(const Fq2& a) const { return fq2_inv(a, params_.q); }
+Fq2 Pairing::gt_inv(const Fq2& a) const { return fqm::fe2_inv(montq_, a); }
 
 Fq2 Pairing::random_gt(Rng& rng) const {
   return gt_pow(e_gg_, random_nonzero_scalar(rng));
@@ -645,21 +637,20 @@ Fq2 Pairing::random_gt(Rng& rng) const {
 
 Bytes Pairing::serialize_gt(const Fq2& v) const {
   Writer w;
-  w.raw(v.a.to_bytes(q_bytes_));
-  w.raw(v.b.to_bytes(q_bytes_));
+  w.raw(fqm::fe_to(montq_, v.a).to_bytes(q_bytes_));
+  w.raw(fqm::fe_to(montq_, v.b).to_bytes(q_bytes_));
   return w.take();
 }
 
 Fq2 Pairing::deserialize_gt(BytesView data) const {
   Reader r(data);
-  Fq2 v;
-  v.a = BigInt::from_bytes(r.raw(q_bytes_));
-  v.b = BigInt::from_bytes(r.raw(q_bytes_));
+  const BigInt a = BigInt::from_bytes(r.raw(q_bytes_));
+  const BigInt b = BigInt::from_bytes(r.raw(q_bytes_));
   r.expect_done();
-  if (v.a >= params_.q || v.b >= params_.q) {
+  if (a >= params_.q || b >= params_.q) {
     throw std::invalid_argument("deserialize_gt: out of range");
   }
-  return v;
+  return {fqm::fe_from(montq_, a), fqm::fe_from(montq_, b)};
 }
 
 }  // namespace p3s::pairing

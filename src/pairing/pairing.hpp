@@ -4,6 +4,11 @@
 //   G1 = order-r subgroup, GT ⊂ F_q²* (order-r roots of unity),
 //   e(P,Q) = TatePairing(P, φ(Q))^((q²−1)/r) with distortion map
 //   φ(x,y) = (−x, i·y).
+// G1 points (Point) and GT values (Fq2) hold Montgomery-form fixed-limb
+// coordinates over the owning Pairing's F_q and are meaningful only with
+// that Pairing: every method works on them without conversion. BigInt
+// appears in this API only as plain Params, as Z_r scalars, and behind the
+// serialize_*/deserialize_* byte boundary.
 #pragma once
 
 #include <cstddef>
@@ -16,19 +21,22 @@
 #include "common/rng.hpp"
 #include "math/montgomery.hpp"
 #include "pairing/curve.hpp"
-#include "pairing/fq2.hpp"
+#include "pairing/fq_mont.hpp"
 
 namespace p3s::pairing {
 
 /// Public group parameters. Generated once and shared by every participant
 /// (the ARA distributes them during registration).
 struct Params {
-  BigInt q;  ///< base field prime, q = h·r − 1, q ≡ 3 (mod 4)
-  BigInt r;  ///< prime group order
-  BigInt h;  ///< cofactor (multiple of 4)
-  Point g;   ///< generator of the order-r subgroup
+  BigInt q;   ///< base field prime, q = h·r − 1, q ≡ 3 (mod 4)
+  BigInt r;   ///< prime group order
+  BigInt h;   ///< cofactor (multiple of 4)
+  BigInt gx;  ///< generator of the order-r subgroup, plain affine x
+  BigInt gy;  ///< and y
 
   Bytes serialize() const;
+  /// Checks that (gx, gy) is a point of y² = x³ + x over F_q with q ≤ 512
+  /// bits; std::invalid_argument otherwise.
   static Params deserialize(BytesView data);
 };
 
@@ -101,24 +109,23 @@ class GtFixedBase {
   /// base^e for e >= 0. Exponents wider than the table fall back to the
   /// generic windowed exponentiation.
   Fq2 pow(const BigInt& e) const;
-  std::size_t memory_bytes() const {
-    return table_.size() * sizeof(fqm::Fe2);
-  }
+  std::size_t memory_bytes() const { return table_.size() * sizeof(Fq2); }
 
  private:
   const math::Montgomery& mq_;
   Fq2 base_;
   std::size_t windows_ = 0;
-  std::vector<fqm::Fe2> table_;  // entry j·15 + (d−1) holds base^(d·16^j)
+  std::vector<Fq2> table_;  // entry j·15 + (d−1) holds base^(d·16^j)
 };
 
 /// Immutable pairing context; shared via shared_ptr between all crypto
 /// objects bound to the same group.
 class Pairing {
  public:
-  /// Validates the group structure; throws std::invalid_argument on bad
-  /// parameters, including a q wider than 512 bits
-  /// (math::Montgomery::kMaxFixedLimbs limbs, the fixed-limb field width).
+  /// Validates the group structure and builds the generator point from
+  /// (gx, gy); throws std::invalid_argument on bad parameters, including a
+  /// q wider than 512 bits (math::Montgomery::kMaxFixedLimbs limbs, the
+  /// fixed-limb field width).
   explicit Pairing(Params params);
 
   /// Small deterministic parameters (80-bit r, 160-bit q) for fast tests.
@@ -140,7 +147,7 @@ class Pairing {
   BigInt random_nonzero_scalar(Rng& rng) const;   // uniform in [1, r)
 
   // --- G1 -----------------------------------------------------------------
-  const Point& generator() const { return params_.g; }
+  const Point& generator() const { return g_; }
   Point mul(const Point& p, const BigInt& k) const;
   Point add(const Point& a, const Point& b) const;
   Point neg(const Point& p) const;
@@ -148,7 +155,8 @@ class Pairing {
   /// Deterministic hash onto the order-r subgroup (try-and-increment).
   Point hash_to_g1(BytesView data) const;
   Bytes serialize_g1(const Point& p) const;
-  /// Validates curve membership; throws std::invalid_argument on bad input.
+  /// Validates coordinate range and curve membership; throws
+  /// std::invalid_argument on bad input.
   Point deserialize_g1(BytesView data) const;
   std::size_t g1_bytes() const { return 1 + 2 * q_bytes_; }
 
@@ -172,10 +180,11 @@ class Pairing {
   Fq2 gt_mul(const Fq2& a, const Fq2& b) const;
   Fq2 gt_pow(const Fq2& a, const BigInt& e) const;
   Fq2 gt_inv(const Fq2& a) const;
-  Fq2 gt_one() const { return fq2_one(); }
+  Fq2 gt_one() const { return fqm::fe2_one(montq_); }
   /// Uniform random element of GT (used as KEM payloads).
   Fq2 random_gt(Rng& rng) const;
   Bytes serialize_gt(const Fq2& v) const;
+  /// Checks both coordinates are below q; std::invalid_argument otherwise.
   Fq2 deserialize_gt(BytesView data) const;
   std::size_t gt_bytes() const { return 2 * q_bytes_; }
 
@@ -183,6 +192,7 @@ class Pairing {
   Params params_;
   std::size_t q_bytes_;
   math::Montgomery montq_;  // Montgomery context for F_q (pairing hot path)
+  Point g_;
   Fq2 e_gg_;
   // Fixed-base tables for the bases every operation reuses: the group
   // generator (mul/random_g1/hash-derived keys) and e(g,g) (gt_pow/

@@ -2,31 +2,15 @@
 
 #include <stdexcept>
 
+#include "math/modular.hpp"
+
 namespace p3s::oracle {
 
-using math::BigInt;
 using math::mod_add;
 using math::mod_inv;
 using math::mod_mul;
 using math::mod_sub;
-using pairing::Fq2;
-using pairing::fq2_conj;
-using pairing::fq2_mul;
-using pairing::fq2_one;
-using pairing::fq2_sqr;
 using pairing::Pairing;
-using pairing::Point;
-using pairing::point_double;
-
-Fq2 fq2_pow(const Fq2& x, const BigInt& e, const BigInt& q) {
-  if (e.is_negative()) throw std::invalid_argument("fq2_pow: negative exponent");
-  Fq2 acc = fq2_one();
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    acc = fq2_sqr(acc, q);
-    if (e.bit(i)) acc = fq2_mul(acc, x, q);
-  }
-  return acc;
-}
 
 namespace {
 // Jacobian coordinates (X, Y, Z): x = X/Z^2, y = Y/Z^3. Avoids the modular

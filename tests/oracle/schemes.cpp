@@ -11,23 +11,30 @@ using abe::CpabePublicKey;
 using abe::CpabeSecretKey;
 using abe::lagrange_at_zero;
 using abe::PolicyNode;
-using math::BigInt;
-using pairing::Fq2;
 using pbe::HveCiphertext;
 using pbe::HveToken;
 
+namespace {
+// e(a, b) for production points, evaluated by the oracle.
+Fq2 pair_plain(const pairing::Pairing& p, const pairing::Point& a,
+               const pairing::Point& b) {
+  return pair_reference(p, plain(p, a), plain(p, b));
+}
+}  // namespace
+
 Fq2 hve_query_reference(const pairing::Pairing& pairing, const HveToken& token,
                         const HveCiphertext& ct) {
-  Fq2 acc = pairing.gt_one();
+  const BigInt& q = pairing.q();
+  Fq2 acc = fq2_one();
   for (std::size_t j = 0; j < token.positions.size(); ++j) {
     const std::size_t i = token.positions[j];
     if (i >= ct.width()) {
       throw std::invalid_argument("hve_query: token/ciphertext width mismatch");
     }
-    acc = pairing.gt_mul(acc, pair_reference(pairing, ct.x[i], token.y[j]));
-    acc = pairing.gt_mul(acc, pair_reference(pairing, ct.w[i], token.l[j]));
+    acc = fq2_mul(acc, pair_plain(pairing, ct.x[i], token.y[j]), q);
+    acc = fq2_mul(acc, pair_plain(pairing, ct.w[i], token.l[j]), q);
   }
-  return pairing.gt_mul(ct.c0, acc);
+  return fq2_mul(plain(pairing, ct.c0), acc, q);
 }
 
 namespace {
@@ -44,9 +51,9 @@ std::optional<Fq2> decrypt_node(const pairing::Pairing& p,
     const auto it = sk.components.find(leaf.attribute);
     if (it == sk.components.end()) return std::nullopt;
     // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{r·q_y(0)}
-    const Fq2 num = p.pair(it->second.d, leaf.cy);
-    const Fq2 den = p.pair(it->second.d_prime, leaf.cy_prime);
-    return p.gt_mul(num, p.gt_inv(den));
+    const Fq2 num = pair_plain(p, it->second.d, leaf.cy);
+    const Fq2 den = pair_plain(p, it->second.d_prime, leaf.cy_prime);
+    return fq2_mul(num, fq2_inv(den, p.q()), p.q());
   }
 
   // Gather satisfied children (child index is 1-based for Lagrange).
@@ -60,10 +67,10 @@ std::optional<Fq2> decrypt_node(const pairing::Pairing& p,
     }
   }
   if (indices.size() < node.k()) return std::nullopt;
-  Fq2 acc = p.gt_one();
+  Fq2 acc = fq2_one();
   for (std::size_t j = 0; j < indices.size(); ++j) {
     const BigInt coeff = lagrange_at_zero(indices, indices[j], p.r());
-    acc = p.gt_mul(acc, p.gt_pow(values[j], coeff));
+    acc = fq2_mul(acc, fq2_pow(values[j], coeff, p.q()), p.q());
   }
   return acc;
 }
@@ -80,8 +87,9 @@ std::optional<Fq2> cpabe_decrypt_reference(const CpabePublicKey& pk,
   const auto a = decrypt_node(p, sk, ct, ct.policy, leaf_index);
   if (!a.has_value()) return std::nullopt;
   // M = C̃ · A / e(C, D);  e(C,D) = e(g,g)^{s(α+r)}, A = e(g,g)^{rs}.
-  const Fq2 e_cd = p.pair(ct.c, sk.d);
-  return p.gt_mul(ct.c_tilde, p.gt_mul(*a, p.gt_inv(e_cd)));
+  const Fq2 e_cd = pair_plain(p, ct.c, sk.d);
+  return fq2_mul(plain(p, ct.c_tilde), fq2_mul(*a, fq2_inv(e_cd, p.q()), p.q()),
+                 p.q());
 }
 
 }  // namespace p3s::oracle

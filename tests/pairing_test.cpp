@@ -8,7 +8,7 @@
 #include "oracle/oracle.hpp"
 #include "pairing/curve.hpp"
 #include "pairing/ecies.hpp"
-#include "pairing/fq2.hpp"
+#include "pairing/fq_mont.hpp"
 #include "pairing/pairing.hpp"
 
 namespace p3s::pairing {
@@ -17,10 +17,21 @@ namespace {
 using math::BigInt;
 using math::mod;
 using oracle::pair_reference;
-using oracle::point_mul;
+using oracle::plain;
 
 class PairingTest : public ::testing::Test {
  protected:
+  Fq2 random_fq2(Rng& rng) const {
+    const math::Montgomery& m = pp_->mont_q();
+    return {fqm::fe_from(m, BigInt::random_below(rng, pp_->q())),
+            fqm::fe_from(m, BigInt::random_below(rng, pp_->q()))};
+  }
+  Fq2 mul(const Fq2& x, const Fq2& y) const {
+    Fq2 out;
+    fqm::fe2_mul(pp_->mont_q(), x, y, out);
+    return out;
+  }
+
   PairingPtr pp_ = Pairing::test_pairing();
   TestRng rng_{0xfeed};
 };
@@ -28,45 +39,57 @@ class PairingTest : public ::testing::Test {
 // --- Fq2 ---------------------------------------------------------------------
 
 TEST_F(PairingTest, Fq2FieldAxioms) {
-  const BigInt& q = pp_->q();
+  const math::Montgomery& m = pp_->mont_q();
+  const auto add = [&m](const Fq2& x, const Fq2& y) {
+    Fq2 out;
+    fqm::fe_add(m, x.a, y.a, out.a);
+    fqm::fe_add(m, x.b, y.b, out.b);
+    return out;
+  };
   TestRng rng(1);
   for (int i = 0; i < 20; ++i) {
-    Fq2 a{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-    Fq2 b{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-    Fq2 c{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
+    const Fq2 a = random_fq2(rng);
+    const Fq2 b = random_fq2(rng);
+    const Fq2 c = random_fq2(rng);
     // Commutativity and associativity of multiplication.
-    EXPECT_EQ(fq2_mul(a, b, q), fq2_mul(b, a, q));
-    EXPECT_EQ(fq2_mul(fq2_mul(a, b, q), c, q), fq2_mul(a, fq2_mul(b, c, q), q));
+    EXPECT_EQ(mul(a, b), mul(b, a));
+    EXPECT_EQ(mul(mul(a, b), c), mul(a, mul(b, c)));
     // Distributivity.
-    EXPECT_EQ(fq2_mul(a, fq2_add(b, c, q), q),
-              fq2_add(fq2_mul(a, b, q), fq2_mul(a, c, q), q));
+    EXPECT_EQ(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
     // Square matches mul.
-    EXPECT_EQ(fq2_sqr(a, q), fq2_mul(a, a, q));
+    Fq2 sq;
+    fqm::fe2_sqr(m, a, sq);
+    EXPECT_EQ(sq, mul(a, a));
     // Additive inverse.
-    EXPECT_TRUE(fq2_is_zero(fq2_add(a, fq2_neg(a, q), q)));
+    EXPECT_EQ(add(a, Fq2{fqm::fe_neg(m, a.a), fqm::fe_neg(m, a.b)}), Fq2{});
     // Multiplicative inverse.
-    if (!fq2_is_zero(a)) {
-      EXPECT_TRUE(fq2_is_one(fq2_mul(a, fq2_inv(a, q), q)));
+    if (a != Fq2{}) {
+      EXPECT_EQ(mul(a, fqm::fe2_inv(m, a)), pp_->gt_one());
+      EXPECT_EQ(plain(*pp_, fqm::fe2_inv(m, a)),
+                oracle::fq2_inv(plain(*pp_, a), pp_->q()));
     }
+    EXPECT_EQ(plain(*pp_, mul(a, b)),
+              oracle::fq2_mul(plain(*pp_, a), plain(*pp_, b), pp_->q()));
   }
 }
 
 TEST_F(PairingTest, Fq2IsquaredIsMinusOne) {
-  const BigInt& q = pp_->q();
-  const Fq2 i{BigInt{}, BigInt{1}};
-  const Fq2 i2 = fq2_mul(i, i, q);
-  EXPECT_EQ(i2.a, q - BigInt{1});
+  const Fq2 i{fqm::Fe{}, fqm::fe_one(pp_->mont_q())};
+  const Fq2 i2 = mul(i, i);
+  EXPECT_EQ(plain(*pp_, i2).a, pp_->q() - BigInt{1});
   EXPECT_TRUE(i2.b.is_zero());
 }
 
 TEST_F(PairingTest, Fq2PowMatchesRepeatedMul) {
-  const BigInt& q = pp_->q();
-  const Fq2 x{BigInt{3}, BigInt{5}};
-  Fq2 acc = fq2_one();
+  const math::Montgomery& m = pp_->mont_q();
+  const Fq2 x{fqm::fe_from(m, BigInt{3}), fqm::fe_from(m, BigInt{5})};
+  Fq2 acc = pp_->gt_one();
   for (int e = 0; e < 20; ++e) {
-    EXPECT_EQ(oracle::fq2_pow(x, BigInt{e}, q), acc) << e;
-    EXPECT_EQ(fq2_pow(x, BigInt{e}, pp_->mont_q()), acc) << e;
-    acc = fq2_mul(acc, x, q);
+    EXPECT_EQ(fqm::fe2_pow(m, x, BigInt{e}), acc) << e;
+    EXPECT_EQ(oracle::fq2_pow(plain(*pp_, x), BigInt{e}, pp_->q()),
+              plain(*pp_, acc))
+        << e;
+    acc = mul(acc, x);
   }
 }
 
@@ -74,48 +97,84 @@ TEST_F(PairingTest, Fq2ConjIsFrobenius) {
   // For q ≡ 3 mod 4, x^q == conj(x).
   const BigInt& q = pp_->q();
   TestRng rng(2);
-  const Fq2 x{BigInt::random_below(rng, q), BigInt::random_below(rng, q)};
-  EXPECT_EQ(fq2_pow(x, q, pp_->mont_q()), fq2_conj(x, q));
-  EXPECT_EQ(oracle::fq2_pow(x, q, q), fq2_conj(x, q));
+  const Fq2 x = random_fq2(rng);
+  EXPECT_EQ(fqm::fe2_pow(pp_->mont_q(), x, q), fqm::fe2_conj(pp_->mont_q(), x));
+  const oracle::Fq2 xp = plain(*pp_, x);
+  EXPECT_EQ(oracle::fq2_pow(xp, q, q), oracle::fq2_conj(xp, q));
 }
 
 TEST_F(PairingTest, Fq2InvZeroThrows) {
-  EXPECT_THROW(fq2_inv(fq2_zero(), pp_->q()), std::domain_error);
+  EXPECT_THROW(fqm::fe2_inv(pp_->mont_q(), Fq2{}), std::domain_error);
+  EXPECT_THROW(pp_->gt_inv(Fq2{}), std::domain_error);
+}
+
+TEST(PairingFe, FeInvAtBothScales) {
+  for (const PairingPtr& pp :
+       {Pairing::test_pairing(), Pairing::paper_pairing()}) {
+    const math::Montgomery& m = pp->mont_q();
+    const BigInt& q = pp->q();
+    TestRng rng(0xfe1);
+    std::vector<BigInt> xs{BigInt{1}, q - BigInt{1}};
+    for (int i = 0; i < 8; ++i) {
+      xs.push_back(BigInt{1} + BigInt::random_below(rng, q - BigInt{1}));
+    }
+    for (const BigInt& x : xs) {
+      const fqm::Fe xm = fqm::fe_from(m, x);
+      const fqm::Fe inv = fqm::fe_inv(m, xm);
+      fqm::Fe prod;
+      fqm::fe_mul(m, xm, inv, prod);
+      EXPECT_EQ(prod, fqm::fe_one(m)) << x.to_dec();
+      EXPECT_EQ(fqm::fe_to(m, inv), math::mod_inv(x, q)) << x.to_dec();
+    }
+    EXPECT_THROW(fqm::fe_inv(m, fqm::Fe{}), std::domain_error);
+  }
 }
 
 // --- Curve -------------------------------------------------------------------
 
 TEST_F(PairingTest, GeneratorOnCurveWithOrderR) {
   const auto& prm = pp_->params();
-  EXPECT_TRUE(on_curve(prm.g, prm.q));
-  EXPECT_FALSE(prm.g.infinity);
-  EXPECT_TRUE(point_mul(prm.g, prm.r, prm.q).infinity);
-  EXPECT_FALSE(point_mul(prm.g, prm.r - BigInt{1}, prm.q).infinity);
+  const Point& g = pp_->generator();
+  EXPECT_TRUE(on_curve(pp_->mont_q(), g));
+  EXPECT_FALSE(g.infinity);
+  const oracle::Point gp = plain(*pp_, g);
+  EXPECT_EQ(gp, (oracle::Point{prm.gx, prm.gy, false}));
+  EXPECT_TRUE(oracle::point_mul(gp, prm.r, prm.q).infinity);
+  EXPECT_FALSE(oracle::point_mul(gp, prm.r - BigInt{1}, prm.q).infinity);
 }
 
 TEST_F(PairingTest, GroupLaws) {
-  const auto& prm = pp_->params();
+  const BigInt& q = pp_->q();
   const Point p = pp_->random_g1(rng_);
   const Point q2 = pp_->random_g1(rng_);
   const Point r2 = pp_->random_g1(rng_);
   // Commutativity / associativity.
-  EXPECT_EQ(point_add(p, q2, prm.q), point_add(q2, p, prm.q));
-  EXPECT_EQ(point_add(point_add(p, q2, prm.q), r2, prm.q),
-            point_add(p, point_add(q2, r2, prm.q), prm.q));
+  EXPECT_EQ(pp_->add(p, q2), pp_->add(q2, p));
+  EXPECT_EQ(pp_->add(pp_->add(p, q2), r2), pp_->add(p, pp_->add(q2, r2)));
   // Identity and inverse.
-  EXPECT_EQ(point_add(p, Point::at_infinity(), prm.q), p);
-  EXPECT_TRUE(point_add(p, point_neg(p, prm.q), prm.q).infinity);
+  EXPECT_EQ(pp_->add(p, Point::at_infinity()), p);
+  EXPECT_EQ(pp_->add(Point::at_infinity(), p), p);
+  EXPECT_TRUE(pp_->add(p, pp_->neg(p)).infinity);
+  EXPECT_EQ(pp_->neg(Point::at_infinity()), Point::at_infinity());
   // Double == add self.
-  EXPECT_EQ(point_double(p, prm.q), point_add(p, p, prm.q));
+  EXPECT_EQ(pp_->add(p, p), pp_->mul(p, BigInt{2}));
+  // The same results as the oracle's affine chord-and-tangent law.
+  const oracle::Point pp = plain(*pp_, p);
+  EXPECT_EQ(plain(*pp_, pp_->add(p, q2)),
+            oracle::point_add(pp, plain(*pp_, q2), q));
+  EXPECT_EQ(plain(*pp_, pp_->add(p, p)), oracle::point_double(pp, q));
+  EXPECT_EQ(plain(*pp_, pp_->neg(p)), (oracle::Point{pp.x, q - pp.y, false}));
 }
 
 TEST_F(PairingTest, ScalarMulMatchesRepeatedAdd) {
   const auto& prm = pp_->params();
   const Point p = pp_->random_g1(rng_);
+  const oracle::Point pp = plain(*pp_, p);
   Point acc = Point::at_infinity();
   for (std::uint64_t k = 0; k < 16; ++k) {
-    EXPECT_EQ(point_mul(p, BigInt{k}, prm.q), acc) << k;
-    acc = point_add(acc, p, prm.q);
+    EXPECT_EQ(point_mul_mont(p, BigInt{k}, pp_->mont_q()), acc) << k;
+    EXPECT_EQ(oracle::point_mul(pp, BigInt{k}, prm.q), plain(*pp_, acc)) << k;
+    acc = pp_->add(acc, p);
   }
 }
 
@@ -124,19 +183,66 @@ TEST_F(PairingTest, ScalarMulDistributes) {
   const Point p = pp_->random_g1(rng_);
   const BigInt a = pp_->random_scalar(rng_);
   const BigInt b = pp_->random_scalar(rng_);
-  const Point lhs = point_mul(p, mod(a + b, prm.r), prm.q);
-  const Point rhs =
-      point_add(point_mul(p, a, prm.q), point_mul(p, b, prm.q), prm.q);
+  const Point lhs = pp_->mul(p, mod(a + b, prm.r));
+  const Point rhs = pp_->add(pp_->mul(p, a), pp_->mul(p, b));
   EXPECT_EQ(lhs, rhs);
 }
 
 TEST_F(PairingTest, ResultsStayOnCurve) {
-  const auto& prm = pp_->params();
+  const math::Montgomery& mq = pp_->mont_q();
   TestRng rng(4);
   for (int i = 0; i < 10; ++i) {
     const Point p = pp_->random_g1(rng);
-    const Point s = point_mul(p, pp_->random_scalar(rng), prm.q);
-    EXPECT_TRUE(on_curve(s, prm.q));
+    const Point s = point_mul_mont(p, pp_->random_scalar(rng), mq);
+    EXPECT_TRUE(on_curve(mq, s));
+    EXPECT_TRUE(on_curve(mq, pp_->add(p, s)));
+  }
+}
+
+// Points outside the order-r subgroup. With S of odd order n (11 divides the
+// test cofactor, 29 the paper one) the Miller chain V = m·S meets V == S and
+// V == −S at addition steps, corners no order-r input reaches; orders 2 and 4
+// take V through a point with y = 0 and then through O.
+Point small_order_point(const Pairing& pp, std::uint64_t n, Rng& rng) {
+  const BigInt& q = pp.q();
+  const math::Montgomery& mq = pp.mont_q();
+  const BigInt cofactor = (q + BigInt{1}) / BigInt{n};
+  for (;;) {
+    const BigInt x = BigInt::random_below(rng, q);
+    const BigInt t =
+        math::mod_add(math::mod_mul(math::mod_mul(x, x, q), x, q), x, q);
+    if (!math::is_quadratic_residue(t, q)) continue;
+    const Point r{fqm::fe_from(mq, x),
+                  fqm::fe_from(mq, math::mod_sqrt_3mod4(t, q)), false};
+    const Point s = point_mul_mont(r, cofactor, mq);
+    if (s.infinity) continue;
+    if (n == 4 && point_mul_mont(s, BigInt{2}, mq).infinity) continue;
+    return s;
+  }
+}
+
+TEST(PairingSmallOrder, MillerCornersMatchReference) {
+  for (const auto& [pp, odd] :
+       {std::pair{Pairing::test_pairing(), std::uint64_t{11}},
+        std::pair{Pairing::paper_pairing(), std::uint64_t{29}}}) {
+    ASSERT_TRUE((pp->params().h % BigInt{odd}).is_zero());
+    TestRng rng(0x5a11 + odd);
+    for (const std::uint64_t n : {std::uint64_t{2}, std::uint64_t{4}, odd}) {
+      const Point s = small_order_point(*pp, n, rng);
+      ASSERT_TRUE(point_mul_mont(s, BigInt{n}, pp->mont_q()).infinity);
+      const Point q = pp->random_g1(rng);
+      const oracle::Fq2 sq = pair_reference(*pp, plain(*pp, s), plain(*pp, q));
+      const oracle::Fq2 qs = pair_reference(*pp, plain(*pp, q), plain(*pp, s));
+      EXPECT_EQ(plain(*pp, pp->pair(s, q)), sq) << n;
+      EXPECT_EQ(plain(*pp, pp->pair(q, s)), qs) << n;
+      const std::vector<PairTerm> terms{{s, q}, {q, s}};
+      EXPECT_EQ(plain(*pp, pp->pair_product(terms)),
+                oracle::fq2_mul(sq, qs, pp->q()))
+          << n;
+      const MillerPrecomp pre = pp->miller_precompute(s);
+      const std::vector<PrecompPairTerm> pre_terms{{&pre, q}};
+      EXPECT_EQ(plain(*pp, pp->pair_product_precomp(pre_terms)), sq) << n;
+    }
   }
 }
 
@@ -144,14 +250,15 @@ TEST_F(PairingTest, ResultsStayOnCurve) {
 
 TEST_F(PairingTest, NonDegenerate) {
   const Fq2 e = pp_->pair(pp_->generator(), pp_->generator());
-  EXPECT_FALSE(fq2_is_one(e));
-  EXPECT_FALSE(fq2_is_zero(e));
+  EXPECT_NE(e, pp_->gt_one());
+  EXPECT_NE(e, Fq2{});
 }
 
 TEST_F(PairingTest, GtElementHasOrderR) {
   const Fq2 e = pp_->gt_generator();
-  EXPECT_TRUE(fq2_is_one(fq2_pow(e, pp_->r(), pp_->mont_q())));
-  EXPECT_TRUE(fq2_is_one(oracle::fq2_pow(e, pp_->r(), pp_->q())));
+  EXPECT_EQ(fqm::fe2_pow(pp_->mont_q(), e, pp_->r()), pp_->gt_one());
+  EXPECT_EQ(oracle::fq2_pow(plain(*pp_, e), pp_->r(), pp_->q()),
+            oracle::fq2_one());
 }
 
 TEST_F(PairingTest, Bilinearity) {
@@ -175,8 +282,8 @@ TEST_F(PairingTest, BilinearInEachArgument) {
 }
 
 TEST_F(PairingTest, PairingWithIdentityIsOne) {
-  EXPECT_TRUE(fq2_is_one(pp_->pair(Point::at_infinity(), pp_->generator())));
-  EXPECT_TRUE(fq2_is_one(pp_->pair(pp_->generator(), Point::at_infinity())));
+  EXPECT_EQ(pp_->pair(Point::at_infinity(), pp_->generator()), pp_->gt_one());
+  EXPECT_EQ(pp_->pair(pp_->generator(), Point::at_infinity()), pp_->gt_one());
 }
 
 TEST_F(PairingTest, PairingSymmetricUpToDistortion) {
@@ -202,7 +309,7 @@ TEST_F(PairingTest, HashToG1Deterministic) {
   const Point c = pp_->hash_to_g1(str_to_bytes("attribute:legal"));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_TRUE(on_curve(a, pp_->q()));
+  EXPECT_TRUE(on_curve(pp_->mont_q(), a));
   // In the order-r subgroup:
   EXPECT_TRUE(pp_->mul(a, pp_->r()).infinity);
 }
@@ -235,12 +342,13 @@ TEST_F(PairingTest, ParamsSerializationRoundTrip) {
   EXPECT_EQ(p2.q, pp_->params().q);
   EXPECT_EQ(p2.r, pp_->params().r);
   EXPECT_EQ(p2.h, pp_->params().h);
-  EXPECT_EQ(p2.g, pp_->params().g);
+  EXPECT_EQ(p2.gx, pp_->params().gx);
+  EXPECT_EQ(p2.gy, pp_->params().gy);
 }
 
 TEST_F(PairingTest, ParamsValidation) {
   Params bad = pp_->params();
-  bad.g.x += BigInt{1};
+  bad.gx += BigInt{1};
   EXPECT_THROW(Pairing{bad}, std::invalid_argument);
   Params bad2 = pp_->params();
   bad2.h += BigInt{4};
@@ -258,7 +366,9 @@ TEST(PairingGen, FreshParamsSatisfyInvariants) {
   // Bilinearity sanity on the fresh group.
   TestRng r2(100);
   const BigInt a = pairing.random_nonzero_scalar(r2);
-  EXPECT_EQ(pairing.pair(pairing.mul(p.g, a), p.g),
+  const Point& g = pairing.generator();
+  EXPECT_EQ(plain(pairing, g), (oracle::Point{p.gx, p.gy, false}));
+  EXPECT_EQ(pairing.pair(pairing.mul(g, a), g),
             pairing.gt_pow(pairing.gt_generator(), a));
 }
 
@@ -306,28 +416,31 @@ TEST_F(PairingTest, FastPairMatchesReference) {
   for (int i = 0; i < 5; ++i) {
     const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
     const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
-    EXPECT_EQ(pp_->pair(a, b), pair_reference(*pp_, a, b));
+    EXPECT_EQ(plain(*pp_, pp_->pair(a, b)),
+              pair_reference(*pp_, plain(*pp_, a), plain(*pp_, b)));
   }
 }
 
 TEST_F(PairingTest, PairProductMatchesProductOfPairs) {
   for (const std::size_t n : {1u, 2u, 3u, 7u}) {
     std::vector<PairTerm> terms;
-    Fq2 expect = pp_->gt_one();
+    oracle::Fq2 expect = oracle::fq2_one();
     for (std::size_t i = 0; i < n; ++i) {
       const Point a =
           pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
       const Point b =
           pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
       terms.push_back({a, b});
-      expect = pp_->gt_mul(expect, pair_reference(*pp_, a, b));
+      expect = oracle::fq2_mul(
+          expect, pair_reference(*pp_, plain(*pp_, a), plain(*pp_, b)),
+          pp_->q());
     }
-    EXPECT_EQ(pp_->pair_product(terms), expect) << n;
+    EXPECT_EQ(plain(*pp_, pp_->pair_product(terms)), expect) << n;
   }
 }
 
 TEST_F(PairingTest, PairProductEmptyAndInfinityTerms) {
-  EXPECT_TRUE(fq2_is_one(pp_->pair_product({})));
+  EXPECT_EQ(pp_->pair_product({}), pp_->gt_one());
   const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   // Identity terms contribute 1 and must not disturb the shared accumulator.
@@ -342,7 +455,7 @@ TEST_F(PairingTest, PairProductNegationCancels) {
   const Point a = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const Point b = pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const std::vector<PairTerm> terms{{a, b}, {pp_->neg(a), b}};
-  EXPECT_TRUE(fq2_is_one(pp_->pair_product(terms)));
+  EXPECT_EQ(pp_->pair_product(terms), pp_->gt_one());
 }
 
 TEST_F(PairingTest, MontScalarMulMatchesReferenceOnEdgeScalars) {
@@ -356,9 +469,10 @@ TEST_F(PairingTest, MontScalarMulMatchesReferenceOnEdgeScalars) {
       pp_->mul(pp_->generator(), pp_->random_nonzero_scalar(rng_));
   const FixedBaseTable table(mq, base, r.bit_length());
   for (const BigInt& k : scalars) {
-    const Point ref = point_mul(base, k, pp_->q());
-    EXPECT_EQ(point_mul_mont(base, k, mq), ref) << k.to_dec();
-    EXPECT_EQ(table.mul(k), ref) << k.to_dec();
+    const oracle::Point ref =
+        oracle::point_mul(plain(*pp_, base), k, pp_->q());
+    EXPECT_EQ(plain(*pp_, point_mul_mont(base, k, mq)), ref) << k.to_dec();
+    EXPECT_EQ(plain(*pp_, table.mul(k)), ref) << k.to_dec();
   }
   EXPECT_THROW(point_mul_mont(base, BigInt{-1}, mq), std::invalid_argument);
   EXPECT_THROW(table.mul(BigInt{-1}), std::invalid_argument);
@@ -395,23 +509,25 @@ TEST_F(PairingTest, GtFixedBaseMatchesGenericPow) {
   }
   exps.push_back(pp_->r() * pp_->r() + BigInt{7});
   for (const BigInt& e : exps) {
-    const Fq2 expect = oracle::fq2_pow(base, e, pp_->q());
-    EXPECT_EQ(table.pow(e), expect) << e.to_dec();
-    EXPECT_EQ(fq2_pow(base, e, pp_->mont_q()), expect) << e.to_dec();
+    const oracle::Fq2 expect =
+        oracle::fq2_pow(plain(*pp_, base), e, pp_->q());
+    EXPECT_EQ(plain(*pp_, table.pow(e)), expect) << e.to_dec();
+    EXPECT_EQ(plain(*pp_, fqm::fe2_pow(pp_->mont_q(), base, e)), expect)
+        << e.to_dec();
   }
   EXPECT_THROW(table.pow(BigInt{-1}), std::invalid_argument);
   // The Pairing-owned e(g,g) table serves gt_pow on the GT generator.
   const BigInt e = pp_->random_nonzero_scalar(rng_);
-  EXPECT_EQ(pp_->gt_pow(pp_->gt_generator(), e),
-            oracle::fq2_pow(pp_->gt_generator(), e, pp_->q()));
+  EXPECT_EQ(plain(*pp_, pp_->gt_pow(pp_->gt_generator(), e)),
+            oracle::fq2_pow(plain(*pp_, pp_->gt_generator()), e, pp_->q()));
 }
 
 TEST_F(PairingTest, MontgomeryFq2PowMatchesPlain) {
-  const BigInt& q = pp_->q();
   for (int i = 0; i < 5; ++i) {
-    const Fq2 x{BigInt::random_below(rng_, q), BigInt::random_below(rng_, q)};
+    const Fq2 x = random_fq2(rng_);
     const BigInt e = BigInt::random_bits(rng_, 150);
-    EXPECT_EQ(fq2_pow(x, e, pp_->mont_q()), oracle::fq2_pow(x, e, q));
+    EXPECT_EQ(plain(*pp_, fqm::fe2_pow(pp_->mont_q(), x, e)),
+              oracle::fq2_pow(plain(*pp_, x), e, pp_->q()));
   }
 }
 
@@ -435,9 +551,9 @@ TEST(PairingBaked, BakedParamsSatisfyCurveInvariants) {
     const BigInt& r = pp->r();
     EXPECT_EQ(q % BigInt{4}, BigInt{3});
     EXPECT_TRUE((q + BigInt{1}) % r == BigInt{});  // q + 1 = h·r
-    EXPECT_TRUE(on_curve(pp->generator(), q));
+    EXPECT_TRUE(on_curve(pp->mont_q(), pp->generator()));
     EXPECT_TRUE(pp->mul(pp->generator(), r).infinity);
-    EXPECT_FALSE(fq2_is_one(pp->gt_generator()));
+    EXPECT_NE(pp->gt_generator(), pp->gt_one());
   }
 }
 
@@ -457,7 +573,8 @@ TEST(PairingBaked, BakedParamsRederiveFromDocumentedSeeds) {
     EXPECT_EQ(fresh.q, pp->params().q);
     EXPECT_EQ(fresh.r, pp->params().r);
     EXPECT_EQ(fresh.h, pp->params().h);
-    EXPECT_EQ(fresh.g, pp->params().g);
+    EXPECT_EQ(fresh.gx, pp->params().gx);
+    EXPECT_EQ(fresh.gy, pp->params().gy);
   }
   EXPECT_EQ(paper.q.bit_length(), 512u);
   EXPECT_EQ(paper.r.to_dec(), "730750818665451621361119245571504901405976559617");
@@ -487,11 +604,12 @@ TEST(PairingWidth, RejectsModulusWiderThan512Bits) {
   // Every entry point that takes a raw Montgomery context checks it too.
   const math::Montgomery mq(wide.q);
   ASSERT_FALSE(mq.fits_fixed());
-  const Point g = wide.g;
+  const Point& g = Pairing::test_pairing()->generator();
   EXPECT_THROW(point_mul_mont(g, BigInt{5}, mq), std::invalid_argument);
-  EXPECT_THROW(fq2_pow(fq2_one(), BigInt{5}, mq), std::invalid_argument);
+  EXPECT_THROW(on_curve(mq, g), std::invalid_argument);
+  EXPECT_THROW(curve_add(mq, g, g), std::invalid_argument);
   EXPECT_THROW(FixedBaseTable(mq, g, 80), std::invalid_argument);
-  EXPECT_THROW(GtFixedBase(mq, fq2_one(), 80), std::invalid_argument);
+  EXPECT_THROW(GtFixedBase(mq, Fq2{}, 80), std::invalid_argument);
 }
 
 TEST(PairingWidth, GenerateParamsRejectsWideQBeforeSearching) {
@@ -530,18 +648,19 @@ TEST(PairingPaper, PairProductMatchesProductOfReferencePairs) {
   const PairingPtr pp = Pairing::paper_pairing();
   TestRng rng(0x9a9e4);
   std::vector<PairTerm> terms;
-  Fq2 expect = pp->gt_one();
+  std::vector<oracle::Fq2> refs;
+  oracle::Fq2 expect = oracle::fq2_one();
   for (int i = 0; i < 3; ++i) {
     const Point a = pp->random_g1(rng);
     const Point b = pp->random_g1(rng);
     terms.push_back({a, b});
-    expect = pp->gt_mul(expect, pair_reference(*pp, a, b));
+    refs.push_back(pair_reference(*pp, plain(*pp, a), plain(*pp, b)));
+    expect = oracle::fq2_mul(expect, refs.back(), pp->q());
   }
-  EXPECT_EQ(pp->pair_product(terms), expect);
+  EXPECT_EQ(plain(*pp, pp->pair_product(terms)), expect);
   const MillerPrecomp pre = pp->miller_precompute(terms[0].p);
   const std::vector<PrecompPairTerm> pre_terms{{&pre, terms[0].q}};
-  EXPECT_EQ(pp->pair_product_precomp(pre_terms),
-            pair_reference(*pp, terms[0].p, terms[0].q));
+  EXPECT_EQ(plain(*pp, pp->pair_product_precomp(pre_terms)), refs[0]);
 }
 
 }  // namespace
