@@ -1,98 +1,28 @@
 #include "net/async.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "obs/catalog.hpp"
-#include "obs/metrics.hpp"
-
 namespace p3s::net {
-
-namespace {
-struct NetFaultMetrics {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& dropped = reg.counter(obs::names::kNetFaultDroppedTotal);
-  obs::Counter& duplicated =
-      reg.counter(obs::names::kNetFaultDuplicatedTotal);
-  obs::Counter& delayed = reg.counter(obs::names::kNetFaultDelayedTotal);
-  obs::Counter& reordered = reg.counter(obs::names::kNetFaultReorderedTotal);
-  obs::Counter& blackout_dropped =
-      reg.counter(obs::names::kNetFaultBlackoutDroppedTotal);
-};
-
-NetFaultMetrics& net_fault_metrics() {
-  static NetFaultMetrics m;
-  return m;
-}
-}  // namespace
-
-void AsyncNetwork::register_endpoint(const std::string& name, Handler handler) {
-  if (!endpoints_.emplace(name, std::move(handler)).second) {
-    throw std::invalid_argument("AsyncNetwork: duplicate endpoint '" + name +
-                                "'");
-  }
-}
-
-void AsyncNetwork::unregister_endpoint(const std::string& name) {
-  endpoints_.erase(name);
-}
-
-std::size_t AsyncNetwork::dropped_on(const std::string& from,
-                                     const std::string& to) const {
-  const auto it = dropped_by_link_.find({from, to});
-  return it != dropped_by_link_.end() ? it->second : 0;
-}
-
-void AsyncNetwork::count_drop(const std::string& from, const std::string& to) {
-  ++dropped_;
-  ++dropped_by_link_[{from, to}];
-}
 
 void AsyncNetwork::send(const std::string& from, const std::string& to,
                         Bytes frame) {
   ++tick_;
-  if (!plan_.has_value()) {
-    record(from, to, frame);
-    queue_.push_back(InFlight{from, to, std::move(frame), tick_});
-    return;
+  const Admission fate = admit(from, to, frame, frame.size());
+  for (int i = 0; i < fate.copies; ++i) {
+    const std::uint64_t deliver_at =
+        tick_ + static_cast<std::uint64_t>(fate.delay[i]);
+    queue_.push_back(InFlight{from, to,
+                              i + 1 < fate.copies ? frame : std::move(frame),
+                              deliver_at});
   }
-  NetFaultMetrics& metrics = net_fault_metrics();
-  const double t = now();
-  if (plan_->in_blackout(from, t)) {
-    // A dark sender's frames never leave the host segment — they are lost
-    // before the wire, so the eavesdropper (whose tap is the wire) never
-    // sees them. Plan drops and receiver blackouts below happen PAST the
-    // observation point and stay in the traffic log.
-    count_drop(from, to);
-    metrics.blackout_dropped.inc();
-    return;
-  }
-  // The wire sees the frame whether or not it survives delivery: the traffic
-  // log is the eavesdropper's view, and loss happens past the observation
-  // point (a duplicate appears twice — once per wire appearance).
-  record(from, to, frame);
-  if (plan_->should_drop(from, to)) {
-    count_drop(from, to);
-    metrics.dropped.inc();
-    return;
-  }
-  const auto delayed = [&] {
-    const std::uint64_t d = static_cast<std::uint64_t>(plan_->delay(from, to));
-    if (d > 0) metrics.delayed.inc();
-    return tick_ + d;
-  };
-  const std::uint64_t deliver_at = delayed();
-  if (plan_->should_duplicate(from, to)) {
-    metrics.duplicated.inc();
-    record(from, to, frame);  // the eavesdropper sees both copies
-    queue_.push_back(InFlight{from, to, frame, delayed()});
-  }
-  queue_.push_back(InFlight{from, to, std::move(frame), deliver_at});
 }
 
 bool AsyncNetwork::pump_one() {
+  FaultPlan* plan = fault_plan();
   while (!queue_.empty()) {
     InFlight msg;
-    if (plan_.has_value()) {
+    if (plan != nullptr) {
       // Earliest deliver_at first (FIFO on ties); a reorder fault lets a
       // uniformly chosen in-flight frame overtake the scheduled one.
       std::size_t idx = 0;
@@ -100,9 +30,9 @@ bool AsyncNetwork::pump_one() {
         if (queue_[i].deliver_at < queue_[idx].deliver_at) idx = i;
       }
       if (queue_.size() > 1 &&
-          plan_->should_reorder(queue_[idx].from, queue_[idx].to)) {
-        const std::size_t victim = plan_->pick(queue_.size());
-        if (victim != idx) net_fault_metrics().reordered.inc();
+          plan->should_reorder(queue_[idx].from, queue_[idx].to)) {
+        const std::size_t victim = plan->pick(queue_.size());
+        if (victim != idx) count_reordered();
         idx = victim;
       }
       msg = std::move(queue_[idx]);
@@ -122,16 +52,7 @@ bool AsyncNetwork::pump_one() {
       count_drop(msg.from, msg.to);
       continue;  // frame lost on the wire
     }
-    if (plan_.has_value() && plan_->in_blackout(msg.to, now())) {
-      count_drop(msg.from, msg.to);
-      net_fault_metrics().blackout_dropped.inc();
-      continue;  // receiver dark at delivery time
-    }
-    const auto it = endpoints_.find(msg.to);
-    if (it == endpoints_.end()) continue;  // host down
-    Handler handler = it->second;  // copy: receiver may unregister itself
-    handler(msg.from, msg.frame);
-    return true;
+    if (deliver(msg.from, msg.to, msg.frame)) return true;
   }
   return false;
 }

@@ -2,34 +2,32 @@
 // synchronous), send() only enqueues; frames are delivered when the test or
 // application pumps the queue. This models true asynchronous message
 // passing — in-flight races, loss, reordering — while staying fully
-// deterministic and single-threaded.
+// deterministic and single-threaded. Every send and every pump is one
+// logical tick; the chaos suites' timeouts are counted in these ticks.
 //
 // Fault injection hooks cover the §6.1 robustness discussion: "participants
 // can detect if network failures cause message loss at the application
 // level" and the slow-consumer/deletion races behind the T_G grace period.
 // Beyond the manual drop_next/set_reorder knobs, a seeded net::FaultPlan
 // drives probabilistic per-link drop/duplicate/reorder/delay and endpoint
-// blackout windows — every chaos schedule is replayable from its seed.
-// Without a plan installed the behavior (and the tick sequence) is exactly
-// the pre-fault-plan network.
+// blackout windows — every chaos schedule is replayable from its seed. The
+// plan's send-side decisions and the receiver-blackout check are the shared
+// ones in net::Network; this class adds only the queue, the tick clock and
+// plan-driven reorder. Without a plan installed the behavior (and the tick
+// sequence) is exactly the pre-fault-plan network.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <optional>
 #include <string>
-#include <utility>
 
-#include "net/fault.hpp"
 #include "net/network.hpp"
 
 namespace p3s::net {
 
 class AsyncNetwork final : public Network {
  public:
-  void register_endpoint(const std::string& name, Handler handler) override;
-  void unregister_endpoint(const std::string& name) override;
   void send(const std::string& from, const std::string& to,
             Bytes frame) override;
   double now() const override { return static_cast<double>(tick_); }
@@ -56,20 +54,13 @@ class AsyncNetwork final : public Network {
   /// Deliver newest-first (adversarial reordering) while enabled.
   void set_reorder(bool on) { reorder_ = on; }
 
-  /// Install a seeded fault schedule; all probabilistic faults (and their
-  /// replayability) come from the plan. clear_fault_plan() restores the
-  /// exact legacy delivery order.
-  void set_fault_plan(FaultPlan plan) { plan_ = std::move(plan); }
-  void clear_fault_plan() { plan_.reset(); }
-  /// Mutable access so a running chaos harness can add blackout windows at
-  /// the current network time. nullptr when no plan is installed.
-  FaultPlan* fault_plan() { return plan_.has_value() ? &*plan_ : nullptr; }
-
-  /// Every frame lost for any reason (drop_next, plan drop, blackout).
-  /// All of them were recorded in the traffic log first.
-  std::size_t dropped_frames() const { return dropped_; }
-  /// Per-link loss counter for the same events.
-  std::size_t dropped_on(const std::string& from, const std::string& to) const;
+  /// Seeded fault schedule (delays in ticks); clear_fault_plan() restores
+  /// the exact legacy delivery order. Losses from drop_next count too.
+  using Network::clear_fault_plan;
+  using Network::dropped_frames;
+  using Network::dropped_on;
+  using Network::fault_plan;
+  using Network::set_fault_plan;
 
  private:
   struct InFlight {
@@ -79,16 +70,15 @@ class AsyncNetwork final : public Network {
     std::uint64_t deliver_at = 0;
   };
 
-  void count_drop(const std::string& from, const std::string& to);
+  /// The clock moves in whole ticks, so a drawn delay is truncated.
+  double applied_delay(double drawn) const override {
+    return std::floor(drawn);
+  }
 
-  std::map<std::string, Handler> endpoints_;
   std::deque<InFlight> queue_;
   std::uint64_t tick_ = 0;
   std::size_t drop_remaining_ = 0;
-  std::size_t dropped_ = 0;
   bool reorder_ = false;
-  std::optional<FaultPlan> plan_;
-  std::map<std::pair<std::string, std::string>, std::size_t> dropped_by_link_;
 };
 
 }  // namespace p3s::net

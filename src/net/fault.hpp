@@ -1,10 +1,16 @@
-// Seeded, replayable network-fault schedule shared by AsyncNetwork and
-// sim::SimNetwork. A FaultPlan owns every random decision fault injection
-// makes — per-link drop/duplicate/reorder probabilities, extra delivery
-// delay, and endpoint blackout windows — and draws them all from one
-// deterministic stream keyed by a single seed. Replaying a chaos schedule is
-// therefore one number: reconstruct the plan with the same seed and the same
-// configuration calls and every drop/dup/delay lands on the same frame.
+// Seeded, replayable network-fault schedule. A FaultPlan owns every random
+// decision fault injection makes — per-link drop/duplicate/reorder
+// probabilities, extra delivery delay, and endpoint blackout windows — and
+// draws them all from one deterministic stream keyed by a single seed.
+// Replaying a chaos schedule is therefore one number: reconstruct the plan
+// with the same seed and the same configuration calls and every
+// drop/dup/delay lands on the same frame.
+//
+// The plan only decides; net::Network applies it. Its one send-side
+// admission (sender blackout, then drop, delay, duplicate, the duplicate's
+// delay) and its one receiver-blackout check at delivery time serve both
+// AsyncNetwork and sim::SimNetwork, so the same plan and send sequence make
+// the same decisions on either. Only AsyncNetwork draws reorder decisions.
 //
 // The decision stream is a seeded xoshiro generator rather than a literal
 // ReplayRng: ReplayRng replays a finite pre-drawn byte budget, but a fault

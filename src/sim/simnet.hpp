@@ -7,11 +7,9 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "net/fault.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 
@@ -34,8 +32,6 @@ class SimNetwork final : public net::Network {
   /// Override every link leaving `from` (NIC-level config).
   void set_egress(const std::string& from, LinkConfig link);
 
-  void register_endpoint(const std::string& name, Handler handler) override;
-  void unregister_endpoint(const std::string& name) override;
   void send(const std::string& from, const std::string& to,
             Bytes frame) override;
   /// Like send(), but the NIC/link timing uses `wire_size` instead of the
@@ -47,18 +43,18 @@ class SimNetwork final : public net::Network {
 
   SimEngine& engine() { return engine_; }
 
-  // --- fault injection (mirrors AsyncNetwork; DESIGN.md "Reliability") -----
-  /// Install a seeded net::FaultPlan so figure benches can run lossy:
-  /// per-link drop/duplicate, extra delivery delay (seconds here), and
-  /// endpoint blackout windows. Reorder probabilities are ignored — delay
-  /// variance already reorders a discrete-event schedule. NIC time is
-  /// consumed even by frames the plan drops (the bytes left the host).
-  void set_fault_plan(net::FaultPlan plan) { plan_ = std::move(plan); }
-  void clear_fault_plan() { plan_.reset(); }
-  net::FaultPlan* fault_plan() { return plan_.has_value() ? &*plan_ : nullptr; }
-
-  std::size_t dropped_frames() const { return dropped_; }
-  std::size_t dropped_on(const std::string& from, const std::string& to) const;
+  // --- fault injection (shared with AsyncNetwork; DESIGN.md "Reliability")
+  /// A seeded net::FaultPlan lets figure benches run lossy: per-link
+  /// drop/duplicate, extra delivery delay (seconds here), and endpoint
+  /// blackout windows, decided by the same admission path as AsyncNetwork.
+  /// Reorder probabilities are ignored — delay variance already reorders a
+  /// discrete-event schedule. NIC time is consumed even by frames the plan
+  /// drops (the bytes left the host).
+  using Network::clear_fault_plan;
+  using Network::dropped_frames;
+  using Network::dropped_on;
+  using Network::fault_plan;
+  using Network::set_fault_plan;
 
  private:
   const LinkConfig& link_for(const std::string& from,
@@ -68,11 +64,7 @@ class SimNetwork final : public net::Network {
   LinkConfig defaults_;
   std::map<std::pair<std::string, std::string>, LinkConfig> pair_links_;
   std::map<std::string, LinkConfig> egress_links_;
-  std::map<std::string, Handler> endpoints_;
   std::map<std::string, double> nic_free_at_;
-  std::optional<net::FaultPlan> plan_;
-  std::size_t dropped_ = 0;
-  std::map<std::pair<std::string, std::string>, std::size_t> dropped_by_link_;
 };
 
 }  // namespace p3s::sim

@@ -128,10 +128,12 @@ TEST(SimNetwork, FramesToDeadHostsAreLost) {
 }
 
 TEST(SimNetwork, FaultPlanMirrorsAsyncSemantics) {
-  // The same seeded FaultPlan API drives the discrete-event network: drops
-  // and duplicates by probability, blackouts by sim time, extra delay added
-  // to the computed arrival. (Reorder probabilities are ignored — delay
-  // variance is what reorders a discrete-event schedule.)
+  // The same seeded FaultPlan drives the discrete-event network through the
+  // admission path AsyncNetwork uses: drops and duplicates by probability,
+  // extra delay added to the computed arrival, blackouts by sim time with
+  // the receiver checked when the frame actually arrives. (Reorder
+  // probabilities are ignored — delay variance is what reorders a
+  // discrete-event schedule.)
   SimEngine eng;
   SimNetwork net(eng, {0.001, 10e6});
   net::FaultPlan plan(11);
@@ -189,6 +191,63 @@ TEST(SimNetwork, FaultPlanBlackoutBySimTime) {
   eng.run();
   EXPECT_EQ(got, 1);
   EXPECT_EQ(net.dropped_frames(), 1u);
+}
+
+// A twin of a plan replays the delays the network draws from it: with drop
+// at 0 the admission path draws the original's delay first, then (with
+// duplicate at 1) the duplicate's.
+
+TEST(SimNetwork, FrameDelayedIntoReceiverBlackoutIsLost) {
+  net::LinkFaults f;
+  f.delay_max = 1.0;
+  net::FaultPlan twin(21);
+  twin.set_default(f);
+  const double extra = twin.delay("a", "b");
+  ASSERT_GT(extra, 0.0);
+  SimEngine eng;
+  SimNetwork net(eng, {0.0, 8e6});
+  const double on_time = 10 * 8.0 / 8e6;  // fault-free arrival
+  net::FaultPlan plan(21);
+  plan.set_default(f);
+  // b goes dark after the fault-free arrival but before the delayed one.
+  plan.add_blackout("b", on_time + extra / 2, on_time + extra + 1.0);
+  net.set_fault_plan(std::move(plan));
+  int got = 0;
+  net.register_endpoint("b", [&](const std::string&, BytesView) { ++got; });
+  net.send("a", "b", Bytes(10));
+  eng.run();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(net.dropped_on("a", "b"), 1u);
+  EXPECT_EQ(net.traffic().size(), 1u);  // lost past the wire tap
+}
+
+TEST(SimNetwork, DuplicateDelayedIntoReceiverBlackoutIsLost) {
+  net::LinkFaults f;
+  f.duplicate = 1.0;
+  f.delay_max = 1.0;
+  net::FaultPlan twin(25);
+  twin.set_default(f);
+  const double original = twin.delay("a", "b");
+  const double copy = twin.delay("a", "b");
+  ASSERT_GT(copy, original);  // this seed delays the duplicate more
+  SimEngine eng;
+  SimNetwork net(eng, {0.0, 8e6});
+  const double on_time = 10 * 8.0 / 8e6;
+  net::FaultPlan plan(25);
+  plan.set_default(f);
+  // b goes dark between the original's arrival and the duplicate's.
+  plan.add_blackout("b", on_time + (original + copy) / 2, on_time + copy + 1.0);
+  net.set_fault_plan(std::move(plan));
+  std::vector<double> arrivals;
+  net.register_endpoint("b", [&](const std::string&, BytesView) {
+    arrivals.push_back(eng.now());
+  });
+  net.send("a", "b", Bytes(10));
+  eng.run();
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_DOUBLE_EQ(arrivals[0], on_time + original);
+  EXPECT_EQ(net.dropped_on("a", "b"), 1u);
+  EXPECT_EQ(net.traffic().size(), 2u);  // both copies crossed the wire
 }
 
 TEST(SimNetwork, TrafficLogTimestamps) {
