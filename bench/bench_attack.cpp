@@ -31,13 +31,15 @@ RunResult run_frequency(bool hardened, std::uint64_t seed, int rounds) {
   if (!sc.settle()) throw std::runtime_error("scenario failed to settle");
   const std::size_t frames_before = sc.net().traffic().size();
   RunResult out;
+  bool drained = false;
   out.seconds = benchutil::time_op(1, [&] {
     for (int round = 0; round < rounds; ++round) {
       sc.publish("finance");
       sc.publish("tech");
     }
-    sc.drain();
+    drained = sc.drain();
   });
+  if (!drained) throw std::runtime_error("scenario failed to drain");
   out.publishes = static_cast<std::size_t>(rounds) * 2;
   const attack::EavesdropperObserver obs = sc.observer();
   for (std::size_t i = frames_before; i < obs.sightings().size(); ++i) {

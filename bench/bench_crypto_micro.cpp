@@ -98,6 +98,25 @@ void BM_Paper_G1_ScalarMul_FixedBase(benchmark::State& state) {
 }
 BENCHMARK(BM_Paper_G1_ScalarMul_FixedBase);
 
+// One F_q inversion (safegcd): 3 per variable-base G1 multiplication, 1 per
+// fixed-base one and 1 per final exponentiation.
+void fe_inv_bench(benchmark::State& state, const pairing::PairingPtr& p) {
+  TestRng rng(3);
+  const math::Montgomery& m = p->mont_q();
+  pairing::fqm::Fe x = pairing::fqm::fe_from(
+      m, math::BigInt{1} + math::BigInt::random_below(rng, p->q() - math::BigInt{1}));
+  for (auto _ : state) {
+    x = pairing::fqm::fe_inv(m, x);  // chained: each call feeds the next
+    benchmark::DoNotOptimize(x);
+  }
+}
+
+void BM_FeInv(benchmark::State& state) { fe_inv_bench(state, pp()); }
+BENCHMARK(BM_FeInv);
+
+void BM_Paper_FeInv(benchmark::State& state) { fe_inv_bench(state, paper()); }
+BENCHMARK(BM_Paper_FeInv);
+
 // Affine point addition (Schnorr verify, CP-ABE KeyGen): one mixed
 // Jacobian addition and one field inversion.
 void BM_Paper_G1_Add(benchmark::State& state) {

@@ -1,12 +1,15 @@
 // Montgomery-form modular arithmetic for a fixed odd modulus (CIOS
 // multiplication). Used to accelerate modular exponentiation — the dominant
 // cost of Miller–Rabin during pairing-parameter generation and of the
-// pairing's final exponentiation path.
+// pairing's final exponentiation path — and, through the fixed-width limb
+// API, as the field arithmetic of every G1 and GT value, including its one
+// inversion routine (Bernstein–Yang safegcd, inv_limbs).
 //
 // R = 2^(64·k) where k is the modulus limb count. Values in "Montgomery
 // form" are a·R mod n; mul() computes a·b·R⁻¹ mod n.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -57,8 +60,24 @@ class Montgomery {
   /// (a - b) mod n into out.
   void sub_limbs(const std::uint64_t* a, const std::uint64_t* b,
                  std::uint64_t* out) const;
+  /// Montgomery-domain inverse: a = x·R in, x⁻¹·R out. Bernstein–Yang
+  /// safegcd ("Fast constant-time gcd computation and modular inversion",
+  /// TCHES 2019) on signed 62-bit limbs, laid out like libsecp256k1's
+  /// modinv64: batches of 59 divsteps on the low word build a 2×2 transition
+  /// matrix, which then updates (f, g) and, mod n, (d, e). The batch count
+  /// comes from the paper's bound for n's width, so the sequence of
+  /// operations depends only on n, never on a. e starts at R² instead of 1,
+  /// so the result comes out as R²·a⁻¹ = x⁻¹·R with no closing product.
+  /// Requires gcd(a, n) = 1 (for a prime n: a ≠ 0, which the caller checks);
+  /// for other a the output is meaningless.
+  void inv_limbs(const std::uint64_t* a, std::uint64_t* out) const;
+  /// Divstep batches inv_limbs runs for this modulus (59 divsteps each).
+  std::size_t inv_batches() const { return inv_batches_; }
 
  private:
+  // 62-bit limbs needed for a 512-bit modulus with a sign bit of headroom.
+  static constexpr std::size_t kMaxS62Limbs = 9;
+
   std::vector<std::uint64_t> mont_mul_limbs(
       const std::vector<std::uint64_t>& a,
       const std::vector<std::uint64_t>& b) const;
@@ -68,6 +87,12 @@ class Montgomery {
   std::uint64_t n0_inv_;  // -n⁻¹ mod 2^64
   BigInt r2_;             // R² mod n
   BigInt one_mont_;       // R mod n
+  // inv_limbs state, set only when fits_fixed().
+  std::array<std::int64_t, kMaxS62Limbs> n62_{};    // n, signed 62-bit limbs
+  std::array<std::int64_t, kMaxS62Limbs> r2_62_{};  // R² mod n, likewise
+  std::size_t n62_count_ = 0;
+  std::uint64_t n62_inv_ = 0;  // n⁻¹ mod 2^62
+  std::size_t inv_batches_ = 0;
 };
 
 }  // namespace p3s::math

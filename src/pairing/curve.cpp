@@ -142,7 +142,7 @@ JacM jacm_add_affine(const Montgomery& m, const JacM& p, const Point& a) {
 
 Point jacm_to_point(const Montgomery& m, const JacM& p) {
   if (jacm_is_inf(p)) return Point::at_infinity();
-  // One (Fermat, in-domain) inversion per scalar multiplication.
+  // One (safegcd, in-domain) inversion per scalar multiplication.
   Fe zinv, zinv2, zinv3, xa, ya;
   zinv = fqm::fe_inv(m, p.z);
   fqm::fe_sqr(m, zinv, zinv2);

@@ -3,7 +3,8 @@
 // (pairing::Fq2). A value is a flat array of math::Montgomery::kMaxFixedLimbs
 // 64-bit limbs (the context's limb_count() low limbs hold it, the upper ones
 // are zero), so the Miller loop, wNAF scalar multiplication, GT
-// exponentiation and inversion perform zero heap allocations. BigInt enters
+// exponentiation and inversion (safegcd, in the Montgomery context) perform
+// zero heap allocations. BigInt enters
 // only through fe_from/fe_to, which the Pairing calls at its parameter,
 // serialization and hash-to-curve boundaries. Only valid when
 // Montgomery::fits_fixed() (q ≤ 512 bits): the Pairing constructor and the
@@ -101,34 +102,14 @@ inline Fe fe_neg(const Montgomery& m, const Fe& x) {
   return out;
 }
 
-/// x⁻¹ = x^(q−2) (Fermat; q must be prime), walking the exponent in 4-bit
-/// fixed windows: 14 table multiplications, then 4 squarings and at most
-/// one multiplication per window. The operation sequence depends only on
-/// the public q, never on x. Throws std::domain_error on zero.
+/// x⁻¹ by Bernstein–Yang safegcd (Montgomery::inv_limbs): a fixed number
+/// of divstep batches set by q's width, so the operation sequence depends
+/// only on the public q, never on x. Throws std::domain_error on zero.
 inline Fe fe_inv(const Montgomery& m, const Fe& x) {
   if (x.is_zero()) throw std::domain_error("fe_inv: zero");
-  // q − 2 in plain limbs, formed in place (q is odd and greater than 2).
-  Fe e = fe_pack(m.modulus());
-  for (std::uint64_t i = 0, borrow = 2; borrow != 0; ++i) {
-    const std::uint64_t v = e.w[i];
-    e.w[i] = v - borrow;
-    borrow = v < borrow ? 1 : 0;
-  }
-  const auto nibble = [&e](std::size_t win) {
-    return static_cast<unsigned>((e.w[win / 16] >> (win % 16 * 4)) & 15);
-  };
-  std::array<Fe, 16> table;
-  table[0] = fe_one(m);
-  table[1] = x;
-  for (std::size_t i = 2; i < 16; ++i) fe_mul(m, table[i - 1], x, table[i]);
-  std::size_t win = (m.modulus().bit_length() + 3) / 4 - 1;
-  Fe acc = table[nibble(win)];
-  while (win-- > 0) {
-    for (int i = 0; i < 4; ++i) fe_sqr(m, acc, acc);
-    const unsigned nib = nibble(win);
-    if (nib != 0) fe_mul(m, acc, table[nib], acc);
-  }
-  return acc;
+  Fe out;
+  m.inv_limbs(x.w.data(), out.w.data());
+  return out;
 }
 
 inline Fq2 fe2_one(const Montgomery& m) { return {fe_one(m), Fe{}}; }

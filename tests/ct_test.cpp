@@ -11,7 +11,9 @@
 //   - crypto::ct_equal itself (the blessed primitive),
 //   - crypto::hmac_verify (MAC check),
 //   - crypto::aead_decrypt tag rejection (poly1305 tag, pre-decrypt),
-//   - pbe::hve_query_bytes match decision (KEM query + DEM tag check).
+//   - pbe::hve_query_bytes match decision (KEM query + DEM tag check),
+//   - pairing field inversion (fqm::fe_inv, safegcd) at paper scale, where
+//     the classes differ in the secret operand's value instead.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,6 +217,39 @@ TEST(ConstantTime, HveMatchDecisionIndependentOfMismatchPosition) {
       },
       150, rng);
   EXPECT_LT(std::abs(t), kMaxCtT) << "HVE match decision leaks mismatch position";
+}
+
+// --- field inversion ---------------------------------------------------------
+
+// Every G1 normalization runs fqm::fe_inv on a coordinate derived from the
+// secret scalar. Its safegcd runs a divstep count fixed by q's width, with
+// branch-free steps, so an operand whose Montgomery representative is 1
+// (where extended-Euclid inversion, math::mod_inv, stops after one
+// division) must cost the same as a random operand. Both classes copy their
+// input into the same buffer before the call.
+TEST(ConstantTime, FeInvIndependentOfOperand) {
+  const auto pp = pairing::Pairing::paper_pairing();
+  const math::Montgomery& m = pp->mont_q();
+  TestRng rng(0xcc);
+  constexpr std::size_t kPool = 64;
+  std::vector<pairing::fqm::Fe> pool;
+  for (std::size_t i = 0; i < kPool; ++i) {
+    pool.push_back(pairing::fqm::fe_from(
+        m, math::BigInt{1} +
+               math::BigInt::random_below(rng, pp->q() - math::BigInt{1})));
+  }
+  pairing::fqm::Fe one;
+  one.w[0] = 1;
+  pairing::fqm::Fe x;
+  std::size_t round = 0;
+  volatile std::uint64_t sink = 0;
+  const double t = measure_t(
+      [&](std::uint8_t cls) {
+        x = cls == 0 ? one : pool[round++ % kPool];
+        sink = pairing::fqm::fe_inv(m, x).w[0];
+      },
+      4000, rng);
+  EXPECT_LT(std::abs(t), kMaxCtT) << "fe_inv timing depends on its operand";
 }
 
 // --- sensitivity control -----------------------------------------------------

@@ -165,6 +165,55 @@ TEST(Montgomery, FixedLimbApiAliasingSafe) {
   EXPECT_EQ(mont.from_mont(BigInt::from_limbs_le(buf)), mod_mul(a, a, n));
 }
 
+// inv_limbs on every x in [1, p) for a 16-bit prime through a one-limb
+// context: one divstep batch (Bernstein–Yang's d < 46 bound gives 50
+// divsteps at d = 16), and the 62-bit split degenerates to a single signed
+// limb. Checked with plain 64-bit arithmetic only.
+TEST(Montgomery, InvLimbsExhaustiveOneLimbPrime) {
+  constexpr std::uint64_t p = 65521;  // largest prime below 2^16
+  const Montgomery mont{BigInt{p}};
+  ASSERT_EQ(mont.limb_count(), 1u);
+  EXPECT_EQ(mont.inv_batches(), 1u);
+  const std::uint64_t one = 1;
+  for (std::uint64_t x = 1; x < p; ++x) {
+    // x·R mod p with R = 2^64.
+    const std::uint64_t xm = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(x) << 64) % p);
+    std::uint64_t inv_m = 0, inv = 0;
+    mont.inv_limbs(&xm, &inv_m);
+    mont.mul_limbs(&inv_m, &one, &inv);  // leave the Montgomery domain
+    ASSERT_LT(inv, p) << x;
+    ASSERT_EQ(x * inv % p, 1u) << x;
+  }
+}
+
+// inv_limbs against math::mod_inv across widths, including moduli whose top
+// limb is all ones (the widest 62-bit limb split for their limb count).
+TEST(Montgomery, InvLimbsMatchesModInv) {
+  TestRng rng(73);
+  std::vector<BigInt> moduli{BigInt::from_hex("ffffffffffffffc5"),
+                             BigInt::from_hex("ffffffffffffffffffffffffffffff61")};
+  for (const std::size_t bits : {61u, 62u, 63u, 124u, 160u, 256u, 384u, 496u,
+                                 511u, 512u}) {
+    moduli.push_back(random_prime(rng, bits));
+  }
+  for (const BigInt& n : moduli) {
+    const Montgomery mont(n);
+    ASSERT_TRUE(mont.fits_fixed());
+    const std::size_t k = mont.limb_count();
+    for (int i = 0; i < 50; ++i) {
+      const BigInt a = i == 0 ? n - BigInt{1}
+                              : BigInt{1} + BigInt::random_below(rng, n - BigInt{1});
+      std::vector<std::uint64_t> am(k, 0), out(k, 0);
+      const BigInt a_mont = mont.to_mont(a);
+      std::copy(a_mont.limbs().begin(), a_mont.limbs().end(), am.begin());
+      mont.inv_limbs(am.data(), out.data());
+      EXPECT_EQ(mont.from_mont(BigInt::from_limbs_le(out)), mod_inv(a, n))
+          << n.to_hex();
+    }
+  }
+}
+
 TEST(Montgomery, WideModulusDoesNotFitFixed) {
   TestRng rng(72);
   const Montgomery mont(random_prime(rng, 576));
