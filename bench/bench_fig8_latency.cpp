@@ -1,7 +1,9 @@
 // Figure 8 reproduction: end-to-end latency vs payload size at B = 10 Mbps.
 //   8(a) absolute latency (baseline vs P3S),
 //   8(b) latency relative to baseline (the paper's 10x target line).
-// Columns also include the discrete-event simulation cross-check.
+// Columns also include the discrete-event simulation cross-check and the
+// store-first latency of the one publish flow the code runs, where the LAN
+// store and its ack precede the metadata fan-out (PROTOCOL.md).
 #include <cstdio>
 #include <vector>
 
@@ -17,10 +19,12 @@ int main() {
 
   std::printf("=== Fig. 8(a): End-to-end latency vs message size (B=10Mbps, N_s=%zu, f=%.0f%%) ===\n\n",
               p.n_subscribers, p.match_fraction * 100);
-  std::printf("%10s  %12s  %12s  %12s  %12s  %8s\n", "payload", "baseline(s)",
-              "p3s(s)", "sim-base(s)", "sim-p3s(s)", "p3s/base");
-  std::printf("%10s  %12s  %12s  %12s  %12s  %8s\n", "-------", "-----------",
-              "------", "-----------", "----------", "--------");
+  std::printf("%10s  %12s  %12s  %12s  %12s  %8s  %14s\n", "payload",
+              "baseline(s)", "p3s(s)", "sim-base(s)", "sim-p3s(s)", "p3s/base",
+              "store-first(s)");
+  std::printf("%10s  %12s  %12s  %12s  %12s  %8s  %14s\n", "-------",
+              "-----------", "------", "-----------", "----------", "--------",
+              "--------------");
 
   std::vector<double> sizes;
   for (double c = 1024.0; c <= 100.0 * 1024 * 1024; c *= 2) sizes.push_back(c);
@@ -30,12 +34,14 @@ int main() {
   double prev_ratio = -1;
   for (double c : sizes) {
     const double base = model::baseline_latency(p, c).total();
-    const double p3s = model::p3s_latency(p, c).total();
+    const model::P3sLatency lat = model::p3s_latency(p, c);
+    const double p3s = lat.total();
     const double sim_base = model::simulate_baseline_latency(p, c);
     const double sim_p3s = model::simulate_p3s_latency(p, c);
     const double ratio = p3s / base;
-    std::printf("%10s  %12.3f  %12.3f  %12.3f  %12.3f  %7.2fx\n",
-                human_bytes(c).c_str(), base, p3s, sim_base, sim_p3s, ratio);
+    std::printf("%10s  %12.3f  %12.3f  %12.3f  %12.3f  %7.2fx  %14.3f\n",
+                human_bytes(c).c_str(), base, p3s, sim_base, sim_p3s, ratio,
+                lat.store_first_total());
     if (c >= 1024.0 * 1024 && ratio > 10.0) within_10x_large = false;
     if (prev_ratio > 10.0 && ratio <= 10.0 && crossover < 0) crossover = c;
     prev_ratio = ratio;

@@ -99,7 +99,8 @@ int main() {
   }
   std::printf("\n          (it can count fetches — allowed leakage — but cannot\n"
               "          link them to banks: all requests arrive from 'anon').\n");
-  std::printf("  feed:   received zero feedback; it cannot tell whether anyone\n"
+  std::printf("  feed:   received one store ack per publication, the same whether\n"
+              "          or not anyone matched; it cannot tell whether anyone\n"
               "          matched its lehman bombshell.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
 // Fuzz harness for the DS/RS wire-frame decoders: frame-type dispatch,
-// tagged request/response bodies, content bodies, the secure-channel record
+// tagged request/response bodies, the publish and store requests (and the
+// content body nested in both), the secure-channel record
 // layout, AEAD ciphertext envelopes, and the metadata-schema string map.
 // These are the parsers that face attacker-controlled bytes off the wire
 // (paper §4: everything a client sends crosses the DS boundary). The
@@ -31,9 +32,11 @@ void drive_frame(BytesView input) {
       (void)p3s::crypto::AeadCiphertext::deserialize(body);
       break;
     }
-    case FrameType::kPublishContent:
-    case FrameType::kStoreContent:
-      (void)p3s::core::read_content(r);
+    case FrameType::kPublishRequest:
+      (void)p3s::core::read_publish_request(r);
+      break;
+    case FrameType::kStoreRequest:
+      (void)p3s::core::read_store_request(r);
       break;
     case FrameType::kAnonForward:
     case FrameType::kContentRequest:

@@ -125,9 +125,9 @@ CpabeKeys cpabe_setup(PairingPtr pairing, Rng& rng) {
   keys.pk.pairing = pairing;
   keys.pk.g = p.generator();
   keys.pk.h = p.mul(p.generator(), beta);
-  keys.pk.f = p.mul(p.generator(), mod_inv(beta, p.r()));
+  keys.mk.beta_inv = mod_inv(beta, p.r());
+  keys.pk.f = p.mul(p.generator(), keys.mk.beta_inv);
   keys.pk.e_gg_alpha = p.gt_pow(p.gt_generator(), alpha);
-  keys.mk.beta = beta;
   keys.mk.g_alpha = p.mul(p.generator(), alpha);
   return keys;
 }
@@ -143,7 +143,7 @@ CpabeSecretKey cpabe_keygen(const CpabeKeys& keys,
 
   CpabeSecretKey sk;
   // D = (g^α · g^r)^{1/β} = g^{(α+r)/β}
-  sk.d = p.mul(p.add(keys.mk.g_alpha, g_r), mod_inv(keys.mk.beta, p.r()));
+  sk.d = p.mul(p.add(keys.mk.g_alpha, g_r), keys.mk.beta_inv);
   for (const std::string& attr : attributes) {
     const BigInt rj = p.random_nonzero_scalar(rng);
     CpabeKeyComponent comp;

@@ -43,8 +43,8 @@ struct CpabePublicKey {
 };
 
 struct CpabeMasterKey {
-  math::BigInt beta;
-  Point g_alpha;  // g^α
+  math::BigInt beta_inv;  // 1/β mod r, the only form of β KeyGen needs
+  Point g_alpha;          // g^α
 };
 
 /// Per-attribute key pair (D_j, D'_j).

@@ -16,7 +16,10 @@
 // tests/attack_test.cpp runs every attack twice per seed: against a
 // vulnerable baseline (defense off — the attack must LAND, exceeding its
 // budget) and against the hardened configuration (advantage must stay
-// within budget). A budget that both sides satisfy would be vacuous.
+// within budget). A budget that both sides satisfy would be vacuous. The
+// replay attack is the exception: its defense, broadcast-index suppression,
+// is part of the one publish protocol and cannot be switched off, so it
+// runs hardened only and proves non-vacuity by the duplicates suppressed.
 #pragma once
 
 #include <cstddef>

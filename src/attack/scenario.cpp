@@ -23,7 +23,6 @@ core::P3sConfig scenario_config(const ScenarioConfig& cfg) {
     config.reliability.max_timeout = 1200.0;
     config.reliability.sync_interval = 700.0;
     config.reliability.max_attempts = 16;
-    config.reliability.reconnect_after = 3;
   }
   if (cfg.hardened) {
     config.anon_hardening.batching = true;

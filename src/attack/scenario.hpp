@@ -4,8 +4,8 @@
 // same scenario runs in two modes:
 //
 //   vulnerable — the attacked defense is OFF (no traffic shaping, or no
-//                anonymizer, or no reliable layer). The executable attack
-//                must LAND here: advantage above its leak budget.
+//                anonymizer). The executable attack must LAND here:
+//                advantage above its leak budget.
 //   hardened   — batched mixing, jittered flushes, decoy cover and bucketed
 //                padding (P3sConfig hardening knobs). Advantage must stay
 //                within budget while deliveries remain exactly-once.
@@ -35,7 +35,7 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   bool hardened = false;         // traffic-shaping defenses (P3sConfig)
   bool with_anonymizer = true;   // off = the intersection baseline
-  bool reliability = false;      // on = the replay defense
+  bool reliability = false;      // client retries and gap-repair sync
   std::size_t subs_per_topic = 3;
 };
 

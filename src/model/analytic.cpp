@@ -27,6 +27,12 @@ P3sLatency p3s_latency(const ModelParams& p, double payload_bytes) {
             p.t_abe_encrypt_s;
   out.tb2 = p.latency_s + p.serialization_s(c_a, p.lan_bandwidth_bps);
 
+  out.tq = p.latency_s +
+           p.serialization_s(p.metadata_ct_bytes + c_a, p.bandwidth_bps) +
+           p.t_pbe_encrypt_s + p.t_abe_encrypt_s;
+  out.tack = p.latency_s +
+             p.serialization_s(p.request_id_bytes, p.lan_bandwidth_bps);
+
   // Last matching subscriber: waits for the RS to serialize the payload to
   // all f·N_s requesters, plus latency, plus its CP-ABE decryption.
   out.tr = p.latency_s +

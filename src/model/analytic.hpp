@@ -27,6 +27,9 @@ struct P3sLatency {
   double tb2;  ///< DS → RS over the LAN: ℓ + ser_LAN(c_A)
   // response path (t_r):
   double tr;   ///< RS → all f·N_s matching subscribers + dec_A
+  // store-first publish flow (the one src/p3s runs, PROTOCOL.md):
+  double tq;   ///< one request with both halves: ℓ + ser(P_E + c_A) + enc_P + enc_A
+  double tack; ///< RS → DS store ack over the LAN: ℓ + ser_LAN(ack)
 
   double metadata_path() const { return tp1 + tp2 + tp3 + tp4; }
   double content_path() const { return tb1 + tb2; }
@@ -35,6 +38,12 @@ struct P3sLatency {
     const double tp = metadata_path();
     const double tb = content_path();
     return (tp > tb ? tp : tb) + tr;
+  }
+  /// Store-before-fanout: the request, the LAN store and its ack, then the
+  /// metadata fan-out, match and fetch run in sequence instead of as two
+  /// racing paths. tp1 and tb1 merge into tq.
+  double store_first_total() const {
+    return tq + tb2 + tack + tp2 + tp3 + tp4 + tr;
   }
 };
 

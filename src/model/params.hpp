@@ -17,6 +17,7 @@ struct ModelParams {
   // --- sizes (Table 1) --------------------------------------------------------
   double metadata_ct_bytes = 10'000;  ///< P_E: PBE-encrypted metadata ≈ 10 KB
   double guid_bytes = 10;             ///< |GUID| ≈ 10 bytes
+  double request_id_bytes = 16;       ///< store ack body (PROTOCOL.md)
   std::size_t abe_policy_attrs = 10;  ///< v: attributes in CP-ABE policy
   std::size_t abe_k_bits = 384;       ///< k: CP-ABE security parameter
 

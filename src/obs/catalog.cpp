@@ -167,7 +167,7 @@ void register_catalog(Registry& r) {
   r.counter(kNetFaultBlackoutDroppedTotal, {}, "1",
             "frames lost to an endpoint blackout window");
 
-  // Reliable request layer.
+  // Client retry policy.
   r.counter(kClientRetryTotal, {}, "1",
             "requests re-sent after a timeout (publish, token, fetch, sync)");
   r.counter(kClientRetryExhaustedTotal, {}, "1",

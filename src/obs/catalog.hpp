@@ -15,7 +15,7 @@
 //   crypto  pairing-stack primitives (Miller loops, scalar mult, GT exp)
 //   exec shared thread-pool execution layer (src/exec)
 //   net  injected network faults (src/net chaos hooks)
-//   client  reliable request layer shared by pub/sub clients
+//   client  retry policy shared by pub/sub clients
 #pragma once
 
 namespace p3s::obs {
@@ -168,7 +168,7 @@ inline constexpr char kAttackGuessesCorrectTotal[] =
     "p3s.attack.guesses_correct_total";
 inline constexpr char kAttackAdvantageBps[] = "p3s.attack.advantage_bps";
 
-// --- reliable request layer (pub/sub clients; DESIGN.md "Reliability") -----
+// --- client retry policy (pub/sub clients; DESIGN.md "Reliability") -------
 inline constexpr char kClientRetryTotal[] = "p3s.client.retry_total";
 inline constexpr char kClientRetryExhaustedTotal[] =
     "p3s.client.retry_exhausted_total";

@@ -70,7 +70,6 @@ void DisseminationServer::crash_and_restart() {
   sessions_.clear();
   subscribers_.clear();
   publishers_.clear();
-  reliable_subs_.clear();
   pending_stores_.clear();
   done_requests_.clear();
   done_order_.clear();
@@ -90,24 +89,24 @@ void DisseminationServer::crash_and_restart() {
 std::size_t DisseminationServer::replay_broadcasts() {
   std::size_t sent = 0;
   for (std::uint64_t i = meta_base_; i < next_meta_index_; ++i) {
-    const Bytes& hve = meta_ring_[static_cast<std::size_t>(i - meta_base_)];
-    for (const std::string& sub : subscribers_) {
+    // Same broadcast index as the original: the subscriber recognizes and
+    // suppresses the replay.
+    const Bytes replay = sequenced_delivery(i);
+    for (const auto& [sub, joined] : subscribers_) {
       if (!sessions_.contains(sub)) continue;
-      Writer w;
-      if (reliable_subs_.contains(sub)) {
-        // Same broadcast index as the original: the sequenced layer can
-        // (and must) recognize and suppress the replay.
-        w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
-        w.u64(i);
-      } else {
-        w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDelivery));
-      }
-      w.bytes(hve);
-      send_sealed(sub, w.data());
+      send_sealed(sub, replay);
       ++sent;
     }
   }
   return sent;
+}
+
+Bytes DisseminationServer::sequenced_delivery(std::uint64_t index) const {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
+  w.u64(index);
+  w.bytes(meta_ring_[static_cast<std::size_t>(index - meta_base_)]);
+  return w.take();
 }
 
 void DisseminationServer::send_sealed(const std::string& to, BytesView inner) {
@@ -270,42 +269,30 @@ void DisseminationServer::fan_out_metadata(const Bytes& hve_ciphertext) {
   }
   // Fan out to every registered subscriber; the DS cannot tell who (if
   // anyone) will match — that is the point. The inner frame is serialized
-  // once per flavor (legacy / indexed); the per-session seals (AEAD over
-  // distinct session state) run in parallel into per-subscriber buffers.
-  // seal() consumes exactly one AEAD nonce from the RNG, so nonces are
-  // pre-drawn serially in subscriber order and replayed per task — the wire
-  // bytes are identical to the sequential loop for any pool size. Sends stay
-  // on this thread: net::Network is not thread-safe.
-  Writer legacy_w;
-  legacy_w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDelivery));
-  legacy_w.bytes(hve_ciphertext);
-  Writer indexed_w;
-  indexed_w.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
-  indexed_w.u64(index);
-  indexed_w.bytes(hve_ciphertext);
-  Bytes legacy = legacy_w.take();
-  Bytes indexed = indexed_w.take();
+  // once; the per-session seals (AEAD over distinct session state) run in
+  // parallel into per-subscriber buffers. seal() consumes exactly one AEAD
+  // nonce from the RNG, so nonces are pre-drawn serially in subscriber order
+  // and replayed per task — the wire bytes are identical to the sequential
+  // loop for any pool size. Sends stay on this thread: net::Network is not
+  // thread-safe.
+  Bytes delivery = sequenced_delivery(index);
   if (hard_.pad_bucket > 0) {
     // Bucketed broadcast padding: the sealed record size then rounds with
     // the bucket instead of tracking the metadata ciphertext byte-for-byte.
-    const std::size_t before = legacy.size() + indexed.size();
-    legacy = pad_to_bucket(std::move(legacy), hard_.pad_bucket, *hard_drbg_);
-    indexed =
-        pad_to_bucket(std::move(indexed), hard_.pad_bucket, *hard_drbg_);
-    metrics.pad_bytes.inc(legacy.size() + indexed.size() - before);
+    const std::size_t before = delivery.size();
+    delivery =
+        pad_to_bucket(std::move(delivery), hard_.pad_bucket, *hard_drbg_);
+    metrics.pad_bytes.inc(delivery.size() - before);
   }
   std::vector<const std::string*> subs;
   std::vector<net::SecureSession*> sess;
-  std::vector<const Bytes*> payloads;
   subs.reserve(subscribers_.size());
   sess.reserve(subscribers_.size());
-  payloads.reserve(subscribers_.size());
-  for (const std::string& sub : subscribers_) {
+  for (const auto& [sub, joined] : subscribers_) {
     const auto it = sessions_.find(sub);
     if (it == sessions_.end()) continue;  // no session: drop, as before
     subs.push_back(&sub);
     sess.push_back(&it->second);
-    payloads.push_back(reliable_subs_.contains(sub) ? &indexed : &legacy);
   }
   std::vector<Bytes> nonces;
   nonces.reserve(subs.size());
@@ -317,7 +304,7 @@ void DisseminationServer::fan_out_metadata(const Bytes& hve_ciphertext) {
     ReplayRng nonce_rng(nonces[i]);
     Writer w;
     w.u8(static_cast<std::uint8_t>(FrameType::kChannelRecord));
-    w.bytes(sess[i]->seal(*payloads[i], nonce_rng));
+    w.bytes(sess[i]->seal(delivery, nonce_rng));
     records[i] = w.take();
   });
   for (std::size_t i = 0; i < subs.size(); ++i) {
@@ -337,19 +324,13 @@ void DisseminationServer::handle_inner(const std::string& from,
   DsMetrics& metrics = ds_metrics();
   switch (type) {
     case FrameType::kRegisterSubscriber: {
-      subscribers_.insert(from);
-      metrics.subscribers.set(static_cast<std::int64_t>(subscribers_.size()));
-      const bool reliable = !r.done() && r.u8() == 1;
-      if (!reliable) {
-        send_sealed(from, frame(FrameType::kAck));
-        return;
-      }
+      (void)r.u8();  // stream flag: the indexed stream is the only one
+      r.expect_done();
       // Joined index: first registration pins where this subscriber's
       // entitlement starts; re-registrations keep it so a repaired channel
       // can still sync everything broadcast since joining.
-      const auto [it, inserted] =
-          reliable_subs_.try_emplace(from, next_meta_index_);
-      (void)inserted;
+      const auto it = subscribers_.try_emplace(from, next_meta_index_).first;
+      metrics.subscribers.set(static_cast<std::int64_t>(subscribers_.size()));
       Writer ack;
       ack.u64(incarnation_);
       ack.u64(it->second);
@@ -365,26 +346,10 @@ void DisseminationServer::handle_inner(const std::string& from,
       subscribers_.erase(from);
       publishers_.erase(from);
       sessions_.erase(from);
-      reliable_subs_.erase(from);
       metrics.subscribers.set(static_cast<std::int64_t>(subscribers_.size()));
       metrics.publishers.set(static_cast<std::int64_t>(publishers_.size()));
       metrics.sessions.set(static_cast<std::int64_t>(sessions_.size()));
       return;
-    case FrameType::kPublishMetadata: {
-      if (!publishers_.contains(from)) return;
-      const Bytes hve_ct = r.bytes();
-      r.expect_done();
-      schedule_fanout(hve_ct);
-      return;
-    }
-    case FrameType::kPublishContent: {
-      if (!publishers_.contains(from)) return;
-      ContentBody body = read_content(r);
-      network_.send(name_, rs_name_,
-                    frame(FrameType::kStoreContent, content_body(body)));
-      metrics.content_forwarded.inc();
-      return;
-    }
     case FrameType::kPublishRequest: {
       if (!publishers_.contains(from)) return;
       PublishRequestBody body = read_publish_request(r);
@@ -412,18 +377,14 @@ void DisseminationServer::handle_inner(const std::string& from,
       return;
     }
     case FrameType::kMetaSyncRequest: {
-      if (!subscribers_.contains(from) || !reliable_subs_.contains(from)) {
+      if (!subscribers_.contains(from)) {
         return;  // stale/unregistered: the client's reconnect path recovers
       }
       const std::uint64_t from_index = r.u64();
       r.expect_done();
       const std::uint64_t start = std::max(from_index, meta_base_);
       for (std::uint64_t i = start; i < next_meta_index_; ++i) {
-        Writer replay;
-        replay.u8(static_cast<std::uint8_t>(FrameType::kMetadataDeliverySeq));
-        replay.u64(i);
-        replay.bytes(meta_ring_[static_cast<std::size_t>(i - meta_base_)]);
-        send_sealed(from, replay.data());
+        send_sealed(from, sequenced_delivery(i));
         metrics.fanout.inc();
       }
       Writer info;

@@ -3,12 +3,12 @@
 // out to every registered subscriber, and forwards CP-ABE-encrypted payloads
 // to the RS. Sees only ciphertext and sizes (curious log asserts this).
 //
-// Reliable path (DESIGN.md "Reliability"): a kPublishRequest is stored on
-// the RS first (kStoreRequest/kStoreAck) and only then fanned out and acked
-// back to the publisher, keyed by the publisher's request id so retries are
-// idempotent. Broadcasts get a per-incarnation sequence index and are kept
-// in a bounded replay ring so reliable subscribers can repair gaps with
-// kMetaSyncRequest.
+// One publish flow (PROTOCOL.md, DESIGN.md §10): a kPublishRequest is stored
+// on the RS first (kStoreRequest/kStoreAck) and only then fanned out and
+// acked back to the publisher, keyed by the publisher's request id so
+// retries are idempotent. Every broadcast carries a per-incarnation sequence
+// index and is kept in a bounded replay ring, so subscribers suppress
+// replays and can repair gaps with kMetaSyncRequest.
 #pragma once
 
 #include <cstdint>
@@ -71,17 +71,15 @@ class DisseminationServer {
   /// ring, and in-flight publish state (long-term key survives, as it would
   /// on disk). Clients must re-register (paper §6.1: "A restarted DS needs
   /// to wait for subscribers and publishers to (re)register"); the bumped
-  /// incarnation tells reliable subscribers their sequence space reset.
+  /// incarnation tells subscribers their sequence space reset.
   void crash_and_restart();
 
   /// Malicious-DS model (DESIGN.md §11, the attack suite's replay-griefing
   /// scenario): re-seal and re-send every retained broadcast to every
   /// connected subscriber. The DS owns the channel keys, so each replay
   /// carries a fresh channel sequence number and the transport-level replay
-  /// protection cannot reject it — only the broadcast-index layer of the
-  /// reliable protocol can. Fire-and-forget subscribers reprocess the
-  /// metadata (match + fetch amplification); reliable ones suppress it.
-  /// Returns the number of frames sent.
+  /// protection cannot reject it; every subscriber suppresses it by its
+  /// unchanged broadcast index. Returns the number of frames sent.
   std::size_t replay_broadcasts();
 
  private:
@@ -94,9 +92,10 @@ class DisseminationServer {
   void on_frame(const std::string& from, BytesView frame);
   void handle_inner(const std::string& from, BytesView inner);
   void send_sealed(const std::string& to, BytesView inner);
+  /// The kMetadataDeliverySeq inner frame for ring entry `index`.
+  Bytes sequenced_delivery(std::uint64_t index) const;
   /// Assign the next broadcast index, append to the replay ring, seal in
-  /// parallel (legacy frame for fire-and-forget subscribers, indexed frame
-  /// for reliable ones) and send to every registered subscriber.
+  /// parallel and send to every registered subscriber.
   void fan_out_metadata(const Bytes& hve_ciphertext);
   /// Batching indirection: queue the broadcast for a jittered flush when
   /// hardening batches, otherwise fan out immediately (base behavior).
@@ -113,21 +112,20 @@ class DisseminationServer {
   pairing::EciesKeyPair keys_;
   Rng& rng_;
   std::map<std::string, net::SecureSession> sessions_;
-  std::set<std::string> subscribers_;
+  std::map<std::string, std::uint64_t> subscribers_;  // name → joined index
   std::set<std::string> publishers_;
   std::vector<Observation> observations_;
 
-  // --- reliable-layer state ------------------------------------------------
+  // --- publish and broadcast-sequence state --------------------------------
   // Incarnation is a restart counter, not a secret: it only has to differ
-  // across crash_and_restart() calls on this instance so reliable
-  // subscribers can detect the sequence-space reset. (A production DS would
+  // across crash_and_restart() calls on this instance so subscribers can
+  // detect the sequence-space reset. (A production DS would
   // persist or randomize it; drawing from rng_ here would shift the shared
   // test RNG stream and break wire-level determinism pins.)
   std::uint64_t incarnation_ = 1;
   std::uint64_t next_meta_index_ = 0;
   std::uint64_t meta_base_ = 0;
   std::deque<Bytes> meta_ring_;  // hve ciphertexts [meta_base_, next index)
-  std::map<std::string, std::uint64_t> reliable_subs_;  // name → joined index
   std::map<Bytes, PendingStore> pending_stores_;
   std::set<Bytes> done_requests_;
   std::deque<Bytes> done_order_;  // FIFO eviction for done_requests_

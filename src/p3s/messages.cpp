@@ -6,7 +6,10 @@ namespace p3s::core {
 
 FrameType read_frame_type(Reader& r) {
   const std::uint8_t t = r.u8();
-  if (t < 1 || t > 25) throw std::invalid_argument("unknown frame type");
+  const bool retired = t == 5 || t == 6 || t == 7 || t == 9;
+  if (t < 1 || t > 25 || retired) {
+    throw std::invalid_argument("unknown frame type");
+  }
   return static_cast<FrameType>(t);
 }
 
@@ -65,7 +68,7 @@ Bytes content_body(const ContentBody& c) {
   return w.take();
 }
 
-// The content body is nested length-prefixed inside the reliable-layer
+// The content body is nested length-prefixed inside the publish and store
 // bodies so read_content()'s whole-buffer check keeps holding on its slice.
 Bytes publish_request_body(const PublishRequestBody& b) {
   if (b.request_id.size() != kRequestIdSize) {

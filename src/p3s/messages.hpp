@@ -19,14 +19,11 @@ enum class FrameType : std::uint8_t {
   kChannelHello = 1,    // client → DS: ECIES session establishment blob
   kChannelRecord = 2,   // both directions: sealed inner frame
   // --- inner frames (inside the DS channel) ---
-  kRegisterSubscriber = 3,  // client → DS
+  kRegisterSubscriber = 3,  // client → DS: {u8 flag = 1}
   kRegisterPublisher = 4,   // client → DS
-  kPublishMetadata = 5,     // publisher → DS: HVE-encrypted GUID
-  kPublishContent = 6,      // publisher → DS: (GUID, TTL, CP-ABE payload)
-  kMetadataDelivery = 7,    // DS → subscriber: HVE-encrypted GUID
+  // 5, 6 and 7 are retired (the fire-and-forget publish flow) and reserved.
   kAck = 8,
-  // --- DS → RS (LAN) ---
-  kStoreContent = 9,        // (GUID, TTL, CP-ABE payload)
+  // 9 is retired (the unacknowledged DS → RS store) and reserved.
   // --- anonymization service ---
   kAnonForward = 10,        // client → anon: {destination, request frame}
   // --- RS request/response ---
@@ -41,13 +38,11 @@ enum class FrameType : std::uint8_t {
   kAraResponse = 17,            // {tag, AEAD_Ks(status ++ credentials)}
   // --- clean departure (inner frame on the DS channel) ---
   kUnregister = 18,             // client → DS: remove my registration
-  // --- reliable request layer (DESIGN.md "Reliability") ---
-  // Inner frames on the DS channel unless noted. The reliable publish path
-  // replaces the fire-and-forget kPublishContent/kPublishMetadata pair with
-  // one request the publisher may retry: the DS stores first (kStoreRequest
-  // to the RS, plain LAN frame like kStoreContent), fans the metadata out
-  // only after the RS acknowledged, then acks the publisher — so a metadata
-  // match can never race an unstored payload.
+  // --- publish flow (PROTOCOL.md) ---
+  // Inner frames on the DS channel unless noted. A publication travels as one
+  // request: the DS stores it first (kStoreRequest to the RS, a plain LAN
+  // frame), fans the metadata out only after the RS acknowledged, then acks
+  // the publisher — so a metadata match can never race an unstored payload.
   kPublishRequest = 19,   // pub → DS: {request_id}{content body}{hve ct}
   kPublishAck = 20,       // DS → pub: {request_id}
   kMetadataDeliverySeq = 21,  // DS → sub: {u64 index}{hve ct}
@@ -57,12 +52,13 @@ enum class FrameType : std::uint8_t {
   kStoreAck = 25,         // RS → DS (LAN): {request_id}
 };
 
-/// Idempotency key for reliable publish/store: fixed-size random id drawn by
-/// the publisher, echoed through DS → RS → DS → publisher acks.
+/// Idempotency key for publish/store: fixed-size random id drawn by the
+/// publisher, echoed through DS → RS → DS → publisher acks.
 inline constexpr std::size_t kRequestIdSize = 16;
 
 /// Frame header parse: returns the type and leaves `r` positioned at the
-/// body. Throws on truncated input or unknown type.
+/// body. Throws on truncated input or an unknown type; the retired numbers
+/// 5, 6, 7 and 9 are unknown.
 FrameType read_frame_type(Reader& r);
 
 /// {type}{body...} helpers.
@@ -89,10 +85,11 @@ void skip_pad(Reader& r);
 /// (bucket 0 = passthrough). Use on frames whose readers end in skip_pad().
 Bytes pad_to_bucket(Bytes frame, std::size_t bucket, Rng& rng);
 
-// kPublishContent / kStoreContent body. The GUID field is either the raw
-// 16-byte GUID (paper Fig. 4, in the clear) or — when the publisher enables
-// the footnote-1 mitigation — an ECIES envelope under the RS public key, so
-// eavesdroppers on the publisher→DS→RS path cannot learn the GUID.
+// Content body inside kPublishRequest / kStoreRequest. The GUID field is
+// either the raw 16-byte GUID (paper Fig. 4, in the clear) or — when the
+// publisher enables the footnote-1 mitigation — an ECIES envelope under the
+// RS public key, so eavesdroppers on the publisher→DS→RS path cannot learn
+// the GUID.
 struct ContentBody {
   bool guid_wrapped = false;
   Bytes guid_field;        // raw GUID or ECIES(RS_pk, GUID)
@@ -112,7 +109,7 @@ struct PublishRequestBody {
 Bytes publish_request_body(const PublishRequestBody& b);
 PublishRequestBody read_publish_request(Reader& r);
 
-// kStoreRequest body: acknowledged variant of kStoreContent.
+// kStoreRequest body: the content the RS stores and acknowledges.
 struct StoreRequestBody {
   Bytes request_id;  // kRequestIdSize bytes
   ContentBody content;

@@ -28,7 +28,7 @@ struct PubMetrics {
   obs::Histogram& batch_items = reg.histogram(obs::names::kPubBatchItems);
   obs::Histogram& batch_seconds =
       reg.histogram(obs::names::kPubBatchSeconds);
-  // Reliable request layer (shared p3s.client.* vocabulary).
+  // Client retry policy (shared p3s.client.* vocabulary).
   obs::Counter& retry = reg.counter(obs::names::kClientRetryTotal);
   obs::Counter& retry_exhausted =
       reg.counter(obs::names::kClientRetryExhaustedTotal);
@@ -151,10 +151,10 @@ void Publisher::poll() {
       it = pending_.erase(it);
       continue;
     }
-    // Every reconnect_after-th attempt assumes the channel (not just the
+    // Every kReconnectAfter-th attempt assumes the channel (not just the
     // frame) is gone — e.g. the DS restarted and lost our registration —
     // and re-establishes it before re-sending.
-    if (p.attempts % reliability_.reconnect_after == 0 &&
+    if (p.attempts % kReconnectAfter == 0 &&
         !reconnected_this_poll) {
       metrics.reconnects.inc();
       reconnected_this_poll = true;
@@ -219,25 +219,17 @@ Publisher::EncodedItem Publisher::encode_item(const pbe::Metadata& metadata,
 }
 
 void Publisher::submit_item(const EncodedItem& enc) {
-  if (!reliability_.enabled) {
-    // Fire-and-forget (base paper protocol). Content is submitted before
-    // the metadata broadcast so that a subscriber whose match races the
-    // store never misses (the paper's model takes max(t_p, t_b) for the
-    // same reason).
-    send_sealed(frame(FrameType::kPublishContent, enc.content_body));
-    Writer meta;
-    meta.u8(static_cast<std::uint8_t>(FrameType::kPublishMetadata));
-    meta.bytes(enc.hve_ciphertext);
-    send_sealed(meta.data());
-    return;
-  }
-  // Reliable: one retryable request carrying both halves; the DS broadcasts
-  // only after the RS acked the store, which closes the race structurally.
+  // One request carrying both halves; the DS broadcasts only after the RS
+  // acked the store, so a match never races an unstored payload.
   Writer req;
   req.u8(static_cast<std::uint8_t>(FrameType::kPublishRequest));
   req.raw(rng_.bytes(kRequestIdSize));
   req.bytes(enc.content_body);
   req.bytes(enc.hve_ciphertext);
+  if (!reliability_.enabled) {
+    send_sealed(req.data());
+    return;
+  }
   const Bytes request_id(req.data().begin() + 1,
                          req.data().begin() + 1 + kRequestIdSize);
   PendingPublish pending;
@@ -301,8 +293,7 @@ std::vector<Guid> Publisher::publish_batch(
   });
 
   // Seals and sends stay serial and in item order: the channel's record
-  // sequence numbers and net::Network are single-threaded state. Content
-  // still precedes metadata per item, as in publish().
+  // sequence numbers and net::Network are single-threaded state.
   for (const EncodedItem& enc : encoded) submit_item(enc);
   return guids;
 }

@@ -3,11 +3,11 @@
 // the item's metadata, CP-ABE-encrypts (GUID, payload) under its access
 // policy, and hands both to the DS over the secure channel.
 //
-// With ReliabilityConfig.enabled the fire-and-forget submission becomes a
-// retried request: content + metadata travel in one kPublishRequest keyed by
-// a random request id, the DS acks only after the RS stored the payload, and
-// poll() re-sends past-deadline requests with capped exponential backoff
-// (re-establishing the channel after repeated timeouts — DS restart
+// Content + metadata travel in one kPublishRequest keyed by a random request
+// id; the DS acks only after the RS stored the payload. With
+// ReliabilityConfig.enabled the publisher also keeps each request until that
+// ack, and poll() re-sends past-deadline requests with capped exponential
+// backoff (re-establishing the channel after repeated timeouts — DS restart
 // re-registration). Retries are idempotent end to end: the DS dedupes by
 // request id, the RS overwrites by GUID.
 #pragma once
@@ -56,16 +56,15 @@ class Publisher {
 
   /// Publish a batch. The per-item cryptography (CP-ABE encrypt, HVE
   /// encrypt, optional GUID super-encryption) runs as pool tasks; the
-  /// channel seals and network sends stay serial in item order (content
-  /// before metadata per item, as in publish()). Each item draws its
-  /// randomness from a dedicated DRBG seeded serially from the publisher's
-  /// RNG, so the produced traffic is bit-identical for any pool size.
-  /// Returns the fresh GUIDs in item order.
+  /// channel seals and network sends stay serial in item order. Each item
+  /// draws its randomness from a dedicated DRBG seeded serially from the
+  /// publisher's RNG, so the produced traffic is bit-identical for any pool
+  /// size. Returns the fresh GUIDs in item order.
   std::vector<Guid> publish_batch(const std::vector<PublishItem>& items);
 
-  /// Reliable-mode driver: re-send past-deadline publish requests and the
+  /// Retry driver: re-send past-deadline publish requests and the
   /// registration, with backoff + jitter from the client DRBG. Call it
-  /// whenever network time may have advanced. No-op when reliability is off.
+  /// whenever network time may have advanced. No-op when retries are off.
   void poll();
 
   /// Footnote-1 mitigation: super-encrypt the GUID in the content
@@ -75,8 +74,8 @@ class Publisher {
 
   const std::string& name() const { return name_; }
 
-  // --- reliable-layer observable state ------------------------------------
-  /// Publishes not yet acknowledged by the DS.
+  // --- retry-policy observable state --------------------------------------
+  /// Publishes not yet acknowledged by the DS (always 0 with retries off).
   std::size_t pending_publish_count() const { return pending_.size(); }
   /// Publishes abandoned after max_attempts (the surfaced error the paper's
   /// §6.1 "detect at the application level" asks for).

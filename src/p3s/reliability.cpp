@@ -8,17 +8,14 @@ double retry_timeout(const ReliabilityConfig& config, std::size_t attempt,
                      Rng& rng) {
   double t = config.timeout;
   for (std::size_t i = 0; i < attempt; ++i) {
-    t = std::min(t * config.backoff, config.max_timeout);
+    t = std::min(t * kRetryBackoff, config.max_timeout);
     if (t >= config.max_timeout) break;
   }
   t = std::min(t, config.max_timeout);
-  if (config.jitter > 0.0) {
-    constexpr std::uint64_t kBuckets = 1u << 16;
-    const double u = static_cast<double>(rng.uniform(kBuckets)) /
-                     static_cast<double>(kBuckets - 1);
-    t *= 1.0 - config.jitter + 2.0 * config.jitter * u;
-  }
-  return t;
+  constexpr std::uint64_t kBuckets = 1u << 16;
+  const double u = static_cast<double>(rng.uniform(kBuckets)) /
+                   static_cast<double>(kBuckets - 1);
+  return t * (1.0 - kRetryJitter + 2.0 * kRetryJitter * u);
 }
 
 }  // namespace p3s::core

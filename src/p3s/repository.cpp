@@ -32,11 +32,13 @@ RsMetrics& rs_metrics() {
 }  // namespace
 
 RepositoryServer::RepositoryServer(net::Network& network, std::string name,
-                                   pairing::PairingPtr pairing, Rng& rng,
+                                   pairing::PairingPtr pairing,
+                                   std::string ds_name, Rng& rng,
                                    double grace_seconds)
     : network_(network),
       name_(std::move(name)),
       pairing_(std::move(pairing)),
+      ds_name_(std::move(ds_name)),
       keys_(pairing::ecies_keygen(*pairing_, rng)),
       rng_(rng),
       grace_seconds_(grace_seconds) {
@@ -71,17 +73,12 @@ void RepositoryServer::on_frame(const std::string& from, BytesView data) {
     const FrameType type = read_frame_type(r);
     sources_.push_back(from);
 
-    if (type == FrameType::kStoreContent ||
-        type == FrameType::kStoreRequest) {
-      Bytes request_id;
-      ContentBody body;
-      if (type == FrameType::kStoreRequest) {
-        StoreRequestBody req = read_store_request(r);
-        request_id = std::move(req.request_id);
-        body = std::move(req.content);
-      } else {
-        body = read_content(r);
-      }
+    if (type == FrameType::kStoreRequest) {
+      // Only the DS stores: a store from anyone else could overwrite a
+      // GUID seen in a clear DS → RS frame, or expire it with TTL 0.
+      if (from != ds_name_) return;
+      StoreRequestBody req = read_store_request(r);
+      ContentBody& body = req.content;
       Guid guid;
       if (body.guid_wrapped) {
         // Footnote-1 mitigation: the GUID arrives under our public key.
@@ -104,12 +101,10 @@ void RepositoryServer::on_frame(const std::string& from, BytesView data) {
       store_[guid] = Item{std::move(body.abe_ciphertext),
                           network_.now() + body.ttl_seconds + grace_seconds_};
       metrics.items.set(static_cast<std::int64_t>(store_.size()));
-      if (!request_id.empty()) {
-        Writer ack;
-        ack.u8(static_cast<std::uint8_t>(FrameType::kStoreAck));
-        ack.raw(request_id);
-        network_.send(name_, from, ack.take());
-      }
+      Writer ack;
+      ack.u8(static_cast<std::uint8_t>(FrameType::kStoreAck));
+      ack.raw(req.request_id);
+      network_.send(name_, from, ack.take());
       return;
     }
 

@@ -19,9 +19,10 @@ namespace p3s::core {
 
 class RepositoryServer {
  public:
+  /// `ds_name` is the one endpoint whose stores are accepted.
   /// `grace_seconds` is T_G. Time comes from the network clock.
   RepositoryServer(net::Network& network, std::string name,
-                   pairing::PairingPtr pairing, Rng& rng,
+                   pairing::PairingPtr pairing, std::string ds_name, Rng& rng,
                    double grace_seconds = 5.0);
   ~RepositoryServer();
 
@@ -74,6 +75,7 @@ class RepositoryServer {
   net::Network& network_;
   std::string name_;
   pairing::PairingPtr pairing_;
+  std::string ds_name_;
   pairing::EciesKeyPair keys_;
   Rng& rng_;
   double grace_seconds_;

@@ -35,7 +35,7 @@ struct SubMetrics {
       reg.counter(obs::names::kSubTokenRejectionsTotal);
   obs::Counter& match_skipped_width =
       reg.counter(obs::names::kSubMatchSkippedWidth);
-  // Reliable request layer (shared p3s.client.* vocabulary).
+  // Client retry policy (shared p3s.client.* vocabulary).
   obs::Counter& retry = reg.counter(obs::names::kClientRetryTotal);
   obs::Counter& retry_exhausted =
       reg.counter(obs::names::kClientRetryExhaustedTotal);
@@ -85,17 +85,15 @@ void Subscriber::connect() {
   w.u8(static_cast<std::uint8_t>(FrameType::kChannelHello));
   w.bytes(hello);
   network_.send(name_, creds_.services.ds_name, w.take());
+  // The flag byte names the sequenced metadata stream; the ack carries
+  // (incarnation, joined index).
+  connected_ = false;
+  Writer reg;
+  reg.u8(1);
+  send_sealed(frame(FrameType::kRegisterSubscriber, reg.data()));
   if (reliability_.enabled) {
-    // Reliable registration: the flag byte asks the DS for the sequenced
-    // metadata stream, and the ack carries (incarnation, joined index).
-    connected_ = false;
-    Writer reg;
-    reg.u8(1);
-    send_sealed(frame(FrameType::kRegisterSubscriber, reg.data()));
     register_deadline_ =
         network_.now() + retry_timeout(reliability_, register_attempts_, rng_);
-  } else {
-    send_sealed(frame(FrameType::kRegisterSubscriber));
   }
 }
 
@@ -117,8 +115,8 @@ void Subscriber::disconnect() {
   send_sealed(frame(FrameType::kUnregister));
   session_.reset();
   connected_ = false;
-  // A clean departure is not a lost channel: stop the reliable machinery
-  // from re-registering or syncing behind the application's back.
+  // A clean departure is not a lost channel: stop the retry machinery from
+  // re-registering or syncing behind the application's back.
   register_deadline_.reset();
   sync_deadline_.reset();
   force_sync_ = false;
@@ -318,7 +316,7 @@ void Subscriber::poll() {
     sync_deadline_.reset();
     ++sync_failures_;
     ++retries_;
-    if (sync_failures_ >= reliability_.reconnect_after) {
+    if (sync_failures_ >= kReconnectAfter) {
       // Repeated unanswered syncs: assume the channel (or the DS) died —
       // e.g. an endpoint restart wiped our registration. Re-establish and
       // let the post-ack sync repair whatever we missed.
@@ -369,13 +367,7 @@ void Subscriber::handle_inner(BytesView inner) {
     connected_ = true;
     register_deadline_.reset();
     register_attempts_ = 0;
-    if (!r.done()) handle_reliable_ack(r);
-    return;
-  }
-  if (type == FrameType::kMetadataDelivery) {
-    const Bytes hve_ct = r.bytes();
-    skip_pad(r);  // hardened DS pads broadcasts to a bucket
-    handle_metadata(hve_ct);
+    handle_register_ack(r);
     return;
   }
   if (type == FrameType::kMetadataDeliverySeq) {
@@ -388,7 +380,7 @@ void Subscriber::handle_inner(BytesView inner) {
   }
 }
 
-void Subscriber::handle_reliable_ack(Reader& r) {
+void Subscriber::handle_register_ack(Reader& r) {
   const std::uint64_t incarnation = r.u64();
   const std::uint64_t joined = r.u64();
   r.expect_done();

@@ -9,14 +9,16 @@
 //  4. decrypts the payload iff its ARA-issued attributes satisfy the
 //     publisher's policy.
 //
-// With ReliabilityConfig.enabled the client becomes loss-tolerant
-// (DESIGN.md "Reliability"): token and content requests carry deadlines and
-// are retried with backoff (same tag + same Ks, so duplicate responses are
-// naturally deduplicated); metadata arrives as an indexed stream whose gaps
-// are detected and repaired through kMetaSyncRequest, with a heartbeat sync
-// that also detects a restarted DS (incarnation change) and re-registers.
-// Exactly-once delivery is enforced at the GUID level regardless of how
-// often a broadcast or response is replayed.
+// Metadata arrives as an indexed stream: an index already processed is
+// suppressed, so a replayed broadcast is never matched twice, and an index
+// skipped is recorded as a gap. With ReliabilityConfig.enabled the client
+// also chases losses (DESIGN.md §10): token and content requests carry
+// deadlines and are retried with backoff (same tag + same Ks, so duplicate
+// responses are naturally deduplicated); gaps are repaired through
+// kMetaSyncRequest, with a heartbeat sync that also detects a restarted DS
+// (incarnation change) and re-registers. Exactly-once delivery is enforced
+// at the GUID level regardless of how often a broadcast or response is
+// replayed.
 #pragma once
 
 #include <cstdint>
@@ -75,14 +77,14 @@ class Subscriber {
   void reconnect();
   void refresh_tokens();
 
-  /// Reliable-mode driver: re-send past-deadline token/content requests and
-  /// the registration, and run the metadata sync heartbeat. Call it whenever
-  /// network time may have advanced. No-op when reliability is off.
+  /// Retry driver: re-send past-deadline token/content requests and the
+  /// registration, and run the metadata sync heartbeat. Call it whenever
+  /// network time may have advanced. No-op when retries are off.
   void poll();
 
   /// Diagnostic/test hook: ask the DS to replay its broadcast ring from
-  /// `from_index` (reliable mode only). Replayed frames the subscriber
-  /// already processed are counted as duplicates, never re-delivered.
+  /// `from_index`. Replayed frames the subscriber already processed are
+  /// counted as duplicates, never re-delivered.
   void request_metadata_replay(std::uint64_t from_index);
 
   void set_delivery_handler(DeliveryHandler handler) {
@@ -99,7 +101,7 @@ class Subscriber {
   /// Fetched but CP-ABE attributes did not satisfy the policy.
   std::size_t undecryptable_payloads() const { return undecryptable_; }
   std::size_t token_rejections() const { return token_rejections_; }
-  // --- reliable-layer observable state ------------------------------------
+  // --- broadcast-stream and retry-policy observable state -----------------
   /// Replayed/duplicated broadcasts that were suppressed, not re-processed.
   std::size_t duplicate_metadata() const { return duplicate_metadata_; }
   /// Token/content requests abandoned after max_attempts (surfaced error).
@@ -123,7 +125,7 @@ class Subscriber {
 
   void on_frame(const std::string& from, BytesView frame);
   void handle_inner(BytesView inner);
-  void handle_reliable_ack(Reader& r);
+  void handle_register_ack(Reader& r);
   void handle_sequenced_metadata(Reader& r);
   void handle_sync_info(Reader& r);
   void handle_metadata(BytesView hve_ct);
@@ -163,7 +165,7 @@ class Subscriber {
   std::map<std::uint64_t, Bytes> pending_content_ks_;
   std::set<Guid> requested_guids_;
 
-  // --- reliable-layer state ------------------------------------------------
+  // --- retry-policy and broadcast-stream state -----------------------------
   std::map<std::uint64_t, PendingRequest> pending_token_requests_;
   std::map<std::uint64_t, PendingRequest> pending_content_requests_;
   std::optional<double> register_deadline_;

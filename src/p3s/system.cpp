@@ -7,9 +7,9 @@ P3sSystem::P3sSystem(net::Network& network, P3sConfig config, Rng& rng)
       config_(std::move(config)),
       ara_(config_.pairing, config_.schema, rng, config_.epoch,
            config_.embedded_token_server) {
-  rs_ = std::make_unique<RepositoryServer>(network_, config_.rs_name,
-                                           config_.pairing, rng,
-                                           config_.rs_grace_seconds);
+  rs_ = std::make_unique<RepositoryServer>(
+      network_, config_.rs_name, config_.pairing, config_.ds_name, rng,
+      config_.rs_grace_seconds);
   ts_ = std::make_unique<PbeTokenServer>(
       network_, config_.ts_name, config_.pairing, ara_.hve_keys(),
       ara_.schema(), ara_.certificate_pk(), rng);

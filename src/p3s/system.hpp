@@ -25,9 +25,9 @@ struct P3sConfig {
   std::optional<pbe::EpochPolicy> epoch;
   /// §8 alternative configuration: embed the PBE-TS in every subscriber.
   bool embedded_token_server = false;
-  /// Reliable request layer for every client this system hands out
-  /// (DESIGN.md "Reliability"). Off by default: the wire traffic is then
-  /// bit-identical to the fire-and-forget base protocol.
+  /// Client retry policy for every client this system hands out
+  /// (DESIGN.md §10). Off by default: the publish flow on the wire is the
+  /// same, but clients neither retry nor sync (the paper's §6.1 behaviour).
   ReliabilityConfig reliability;
   /// Traffic-shaping defenses (DESIGN.md §11) — all off by default so the
   /// base wire protocol is byte-identical to the unhardened system.

@@ -164,6 +164,18 @@ HveMasterKey HveMasterKey::deserialize(BytesView data) {
   return msk;
 }
 
+void HveMasterKey::derive_inverses(const BigInt& order) {
+  auto invert = [&](const std::vector<BigInt>& in, std::vector<BigInt>& out) {
+    out.clear();
+    out.reserve(in.size());
+    for (const BigInt& e : in) out.push_back(mod_inv(e, order));
+  };
+  invert(t, t_inv);
+  invert(v, v_inv);
+  invert(r, r_inv);
+  invert(m, m_inv);
+}
+
 Bytes HveKeys::serialize() const {
   Writer w;
   w.bytes(pk.serialize());
@@ -180,6 +192,7 @@ HveKeys HveKeys::deserialize(PairingPtr pairing, BytesView data) {
   if (keys.msk.t.size() != keys.pk.width()) {
     throw std::invalid_argument("HveKeys: pk/msk width mismatch");
   }
+  keys.msk.derive_inverses(keys.pk.pairing->r());
   return keys;
 }
 
@@ -224,6 +237,7 @@ HveKeys hve_setup(PairingPtr pairing, std::size_t width, Rng& rng) {
   fill(keys.msk.v, keys.pk.v);
   fill(keys.msk.r, keys.pk.r);
   fill(keys.msk.m, keys.pk.m);
+  keys.msk.derive_inverses(p.r());
   return keys;
 }
 
@@ -273,6 +287,9 @@ HveToken hve_gen_token(const HveKeys& keys, const Pattern& w, Rng& rng) {
   if (w.size() != keys.pk.width()) {
     throw std::invalid_argument("hve_gen_token: width mismatch");
   }
+  if (keys.msk.t_inv.size() != keys.pk.width()) {
+    throw std::invalid_argument("hve_gen_token: master-key inverses missing");
+  }
   HveToken tok;
   for (std::size_t i = 0; i < w.size(); ++i) {
     if (w[i] != kWildcard && w[i] != 0 && w[i] != 1) {
@@ -303,11 +320,11 @@ HveToken hve_gen_token(const HveKeys& keys, const Pattern& w, Rng& rng) {
     const BigInt& a = shares[j];
     const BigInt& num = a;
     if (w[i] == 1) {
-      tok.y.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.t[i], p.r()), p.r())));
-      tok.l.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.v[i], p.r()), p.r())));
+      tok.y.push_back(p.mul(p.generator(), mod_mul(num, keys.msk.t_inv[i], p.r())));
+      tok.l.push_back(p.mul(p.generator(), mod_mul(num, keys.msk.v_inv[i], p.r())));
     } else {
-      tok.y.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.r[i], p.r()), p.r())));
-      tok.l.push_back(p.mul(p.generator(), mod_mul(num, mod_inv(keys.msk.m[i], p.r()), p.r())));
+      tok.y.push_back(p.mul(p.generator(), mod_mul(num, keys.msk.r_inv[i], p.r())));
+      tok.l.push_back(p.mul(p.generator(), mod_mul(num, keys.msk.m_inv[i], p.r())));
     }
   }
   return tok;

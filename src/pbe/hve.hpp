@@ -65,7 +65,12 @@ struct HvePublicKey {
 struct HveMasterKey {
   std::vector<BigInt> t, v, r, m;
   BigInt y;
+  /// t_i⁻¹, v_i⁻¹, r_i⁻¹, m_i⁻¹ mod the group order, which GenToken
+  /// multiplies by. Derived once (hve_setup, HveKeys::deserialize) so no
+  /// token runs an inversion on a secret; never serialized.
+  std::vector<BigInt> t_inv, v_inv, r_inv, m_inv;
 
+  void derive_inverses(const BigInt& order);
   Bytes serialize() const;
   static HveMasterKey deserialize(BytesView data);
 };

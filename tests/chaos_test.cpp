@@ -98,7 +98,6 @@ class ChaosMatrix : public ::testing::TestWithParam<ChaosCase> {
     config.reliability.max_timeout = 1200.0;
     config.reliability.sync_interval = 700.0;
     config.reliability.max_attempts = 16;
-    config.reliability.reconnect_after = 3;
     system_ = std::make_unique<P3sSystem>(net_, std::move(config), *rng_);
   }
 

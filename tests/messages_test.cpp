@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "abe/policy.hpp"
 #include "common/rng.hpp"
 #include "net/async.hpp"
@@ -10,8 +13,19 @@
 namespace p3s::core {
 namespace {
 
+// Frame numbers of the retired fire-and-forget publish flow: reserved, and
+// rejected as unknown.
+constexpr std::uint8_t kRetiredFrameTypes[] = {5, 6, 7, 9};
+
+bool retired_frame_type(std::uint8_t t) {
+  return std::find(std::begin(kRetiredFrameTypes),
+                   std::end(kRetiredFrameTypes), t) !=
+         std::end(kRetiredFrameTypes);
+}
+
 TEST(Messages, FrameTypeRoundTrip) {
   for (std::uint8_t t = 1; t <= 25; ++t) {
+    if (retired_frame_type(t)) continue;
     const Bytes f = frame(static_cast<FrameType>(t), str_to_bytes("body"));
     Reader r(f);
     EXPECT_EQ(static_cast<std::uint8_t>(read_frame_type(r)), t);
@@ -22,6 +36,11 @@ TEST(Messages, FrameTypeRoundTrip) {
 TEST(Messages, UnknownFrameTypeRejected) {
   for (std::uint8_t t : {std::uint8_t{0}, std::uint8_t{26}, std::uint8_t{255}}) {
     Bytes f{t};
+    Reader r(f);
+    EXPECT_THROW(read_frame_type(r), std::invalid_argument) << int(t);
+  }
+  for (const std::uint8_t t : kRetiredFrameTypes) {
+    const Bytes f = frame(static_cast<FrameType>(t), str_to_bytes("body"));
     Reader r(f);
     EXPECT_THROW(read_frame_type(r), std::invalid_argument) << int(t);
   }
@@ -156,12 +175,18 @@ TEST(Messages, OversizedLengthPrefixRejectedWithoutAllocating) {
   // bounds check must fire on `remaining()`, before any allocation of the
   // claimed size is attempted.
   Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kPublishContent));
-  w.u8(0);
+  w.u8(static_cast<std::uint8_t>(FrameType::kStoreRequest));
+  w.raw(Bytes(kRequestIdSize, 0x11));
   w.u32(0xffffffffu);
   Reader r(w.data());
-  EXPECT_EQ(read_frame_type(r), FrameType::kPublishContent);
-  EXPECT_THROW(read_content(r), std::out_of_range);
+  EXPECT_EQ(read_frame_type(r), FrameType::kStoreRequest);
+  EXPECT_THROW(read_store_request(r), std::out_of_range);
+  // The same claim on the content body itself.
+  Writer c;
+  c.u8(0);
+  c.u32(0xffffffffu);
+  Reader cr(c.data());
+  EXPECT_THROW(read_content(cr), std::out_of_range);
 }
 
 TEST(Messages, TypeConfusedBodyRejected) {

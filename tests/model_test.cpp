@@ -61,6 +61,22 @@ TEST(AnalyticLatency, WorstCaseUsesMaxOfPaths) {
   EXPECT_DOUBLE_EQ(lat.total(), lat.content_path() + lat.tr);
 }
 
+TEST(AnalyticLatency, StoreFirstRunsThePathsInSequence) {
+  // The code's publish flow stores the payload before any subscriber sees
+  // the metadata: one request carries both halves (tp1 and tb1 share one ℓ),
+  // then the LAN store, its ack and the metadata path follow in sequence.
+  const ModelParams p = ModelParams::paper_defaults();
+  for (double c : {1 * kKB, 100 * kMB}) {
+    const P3sLatency lat = p3s_latency(p, c);
+    EXPECT_GT(lat.store_first_total(), lat.total()) << c;
+    EXPECT_NEAR(lat.store_first_total(),
+                lat.metadata_path() + lat.content_path() - p.latency_s +
+                    lat.tack + lat.tr,
+                1e-9 * lat.store_first_total())
+        << c;
+  }
+}
+
 TEST(AnalyticThroughput, BandwidthBoundForLargePayloads) {
   // Paper Fig. 9: "As payload size increases, throughput decreases because
   // fewer messages per second can be sent out the network interface."

@@ -125,9 +125,7 @@ TEST_F(PrivacyTest, DsLearnsOnlySizesAndTypes) {
                 obs.inner_type ==
                     static_cast<std::uint8_t>(FrameType::kRegisterPublisher) ||
                 obs.inner_type ==
-                    static_cast<std::uint8_t>(FrameType::kPublishMetadata) ||
-                obs.inner_type ==
-                    static_cast<std::uint8_t>(FrameType::kPublishContent))
+                    static_cast<std::uint8_t>(FrameType::kPublishRequest))
         << static_cast<int>(obs.inner_type);
   }
 }
@@ -167,25 +165,24 @@ TEST_F(PrivacyTest, EavesdropperSeesGuidOnlyAsClearFieldOfStoreFrame) {
 
 TEST_F(PrivacyTest, PublisherLearnsNothingAboutMatching) {
   run_flow();
-  // Frames addressed to the publisher: channel acks only, all of identical
-  // shape regardless of whether anything matched.
-  std::size_t to_pub = 0;
+  // Frames addressed to the publisher: the DS's publish ack, sent once the
+  // RS stored the item and before anyone could match it.
+  std::vector<std::size_t> to_pub;
   for (const auto& rec : net_.traffic()) {
-    if (rec.to == "pub1") ++to_pub;
+    if (rec.to == "pub1") to_pub.push_back(rec.size);
   }
   net_.clear_traffic();
   // Publish an item nobody matches; the publisher-visible traffic pattern
-  // is identical (same count of acks per publish: zero — fire and forget).
+  // is identical (one ack of the same size per publish).
   pub_->publish({{"sector", "health"}, {"region", "eu"}, {"event", "ipo"}},
                 str_to_bytes("unmatched"), abe::parse_policy("analyst"));
-  std::size_t to_pub2 = 0;
+  std::vector<std::size_t> to_pub2;
   for (const auto& rec : net_.traffic()) {
-    if (rec.to == "pub1") ++to_pub2;
+    if (rec.to == "pub1") to_pub2.push_back(rec.size);
   }
-  // In both flows the publisher receives zero feedback frames: it cannot
-  // distinguish matched from unmatched publications.
-  EXPECT_EQ(to_pub, 0u);
-  EXPECT_EQ(to_pub2, 0u);
+  // The publisher cannot distinguish matched from unmatched publications.
+  EXPECT_EQ(to_pub.size(), 1u);
+  EXPECT_EQ(to_pub, to_pub2);
 }
 
 TEST_F(PrivacyTest, CollusionOfHbcSubscribersIsUnionOfViews) {

@@ -85,14 +85,56 @@ TEST_F(RobustnessTest, UnregisteredClientCannotPublishThroughDs) {
 }
 
 TEST_F(RobustnessTest, RsIgnoresStoreWithTruncatedBody) {
+  // Sent under the DS's name so the frame reaches the store decoder.
+  Writer content;
+  content.u8(0);          // not wrapped
+  content.u32(16);        // claims 16 guid bytes...
+  content.raw(Bytes(4));  // ...provides 4
   Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kStoreContent));
-  w.u8(0);        // not wrapped
-  w.u32(16);      // claims 16 guid bytes...
-  w.raw(Bytes(4));  // ...provides 4
+  w.u8(static_cast<std::uint8_t>(FrameType::kStoreRequest));
+  w.raw(Bytes(kRequestIdSize, 0x5a));
+  w.bytes(content.data());
   const std::size_t before = system_->rs().stored_items();
-  EXPECT_NO_THROW(net_.send("attacker", "rs", w.take()));
+  EXPECT_NO_THROW(net_.send("ds", "rs", w.take()));
   EXPECT_EQ(system_->rs().stored_items(), before);
+}
+
+TEST_F(RobustnessTest, RsIgnoresStoreFromNonDsEndpoint) {
+  // An eavesdropper on the DS → RS link learns each clear GUID. A
+  // well-formed store for that GUID from any endpoint but the DS must not
+  // overwrite the ciphertext or cut its TTL to 0.
+  const Guid guid =
+      pub_->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("genuine"),
+                    abe::parse_policy("m"), 1e6);
+  ASSERT_EQ(system_->rs().stored_items(), 1u);
+  const Bytes before = system_->rs().snapshot();
+
+  StoreRequestBody forged;
+  forged.request_id = Bytes(kRequestIdSize, 0xee);
+  forged.content.guid_field = guid.to_bytes();
+  forged.content.ttl_seconds = 0;
+  forged.content.abe_ciphertext = str_to_bytes("attacker ciphertext");
+  EXPECT_NO_THROW(net_.send("attacker", "rs",
+                            frame(FrameType::kStoreRequest,
+                                  store_request_body(forged))));
+  EXPECT_EQ(system_->rs().snapshot(), before);
+  expect_system_still_works();
+}
+
+TEST_F(RobustnessTest, DsReplayIsSuppressedWithRetriesOff) {
+  // Broadcast-index suppression is part of the protocol, not of the retry
+  // policy: with retries off (this fixture's default) a DS that re-sends
+  // its retained broadcasts under fresh channel records still gets every
+  // replay recognized, none matched or fetched again.
+  pub_->publish({{"topic", "a"}, {"tier", "x"}}, str_to_bytes("once"),
+                abe::parse_policy("m"));
+  ASSERT_EQ(sub_->deliveries().size(), 1u);
+  const std::size_t received = sub_->metadata_received();
+  const std::size_t dupes = sub_->duplicate_metadata();
+  EXPECT_GT(system_->ds().replay_broadcasts(), 0u);
+  EXPECT_EQ(sub_->metadata_received(), received);
+  EXPECT_GT(sub_->duplicate_metadata(), dupes);
+  EXPECT_EQ(sub_->deliveries().size(), 1u);
 }
 
 TEST_F(RobustnessTest, TokenServerRejectsReplayedRequestBlobGracefully) {
